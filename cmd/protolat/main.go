@@ -15,11 +15,11 @@
 //	protolat -stack tcpip -policy adaptive        # adaptive recovery timers
 //	protolat -soak -seed 7                        # resumable soak across fault regimes
 //	protolat -soak -checkpoint s.journal -soakstop 20   # stop early, journal kept
-//	protolat -soak -checkpoint s.journal -resume        # continue from the journal
+//	protolat -soak -checkpoint s.journal                # continue from the journal
 //	protolat -profile -top 8                      # per-function mCPI attribution
 //	protolat -lint                                # static layout lint, no simulation
 //	protolat -optimize dec3000 -seed 1            # search placements vs the hand ALL layout
-//	protolat -optimize all -budget 300 -candidates 3   # whole matrix, custom search shape
+//	protolat -optimize all -budget 300                # whole matrix, custom search budget
 //	protolat -machines list                       # print the machine-model matrix
 //	protolat -machines all                        # layout x machine sweep, every model
 //	protolat -machines dec3000,modern -stack rpc  # a subset, on the RPC stack
@@ -29,6 +29,12 @@
 //
 // See docs/CLI.md for the complete flag reference with worked examples.
 //
+// The study modes (-stack, -table, -faults, -soak, -lint, -profile,
+// -machines, -optimize) map their flags onto one daemon spec and compute
+// it exactly as `protolat -serve` does, so the -json document equals the
+// daemon's for the same spec. -figure, -throughput, -multiconn,
+// -sensitivity, -machines list and the full evaluation run are CLI-only.
+//
 // Samples and table cells are independent simulations, so they run on a
 // bounded worker pool (-parallel, default GOMAXPROCS). Results assemble in
 // index order and are bit-for-bit identical to a serial run; -json output
@@ -36,6 +42,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,242 +55,164 @@ import (
 	"repro"
 )
 
+// options holds the parsed command line.
+type options struct {
+	table, figure, samples, soakstop, budget, top int
+	quality, stack, version, policy, rates, sens  string
+	machines, optimize, checkpoint, jsonPath      string
+	classifier, tput, mconn, faults, soak         bool
+	profile, lint                                 bool
+	seed                                          uint64
+
+	parallel, workers, retries int
+	serve                      bool
+	addr, storeDir, submit     string
+	drainTimeout               time.Duration
+	storeMax                   int64
+}
+
+// parseFlags parses args into options. Errors and -help have already been
+// reported on stderr when it returns them.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("protolat", flag.ContinueOnError)
+	fs.IntVar(&o.table, "table", 0, "print one table (1..9); 0 = all")
+	fs.IntVar(&o.figure, "figure", 0, "print one figure (1 or 2); 0 = per -table setting")
+	fs.StringVar(&o.quality, "quality", "quick", "measurement effort: quick or paper")
+	fs.StringVar(&o.stack, "stack", "", "run a single configuration: tcpip or rpc")
+	fs.StringVar(&o.version, "version", "ALL", "version for -stack: BAD STD OUT CLO PIN ALL")
+	fs.IntVar(&o.samples, "samples", 3, "samples for -stack runs")
+	fs.BoolVar(&o.classifier, "classifier", false, "charge packet-classifier cost on PIN/ALL")
+	fs.BoolVar(&o.tput, "throughput", false, "run the throughput check instead of tables")
+	fs.StringVar(&o.sens, "sensitivity", "", "run a sensitivity sweep: cache, machine, or assoc")
+	fs.BoolVar(&o.mconn, "multiconn", false, "run the connection-time cloning experiment")
+	fs.BoolVar(&o.faults, "faults", false, "run the fault-injection study (degraded-path latency per layout strategy)")
+	fs.BoolVar(&o.soak, "soak", false, "run the resumable soak: fault regimes x recovery policies x versions with tail-latency digests")
+	fs.StringVar(&o.policy, "policy", "", "recovery policy for -stack runs: fixed (default) or adaptive")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "journal path for -soak, written after every chunk; an existing journal is resumed instead of starting over")
+	fs.IntVar(&o.soakstop, "soakstop", 0, "stop the soak at the first chunk boundary at or after this many units (0 = run to completion)")
+	fs.Uint64Var(&o.seed, "seed", 1, "deterministic seed for -faults, -soak, -machines and -optimize; same seed = byte-identical report at any -parallel")
+	fs.StringVar(&o.rates, "rates", "", "comma-separated fault rates for -faults (default 0,0.02,0.05,0.10) and -machines (default clean links only)")
+	fs.StringVar(&o.machines, "machines", "", "run the machine-matrix study on these models: \"all\", a comma-separated list of names, or \"list\" to print the matrix")
+	fs.BoolVar(&o.profile, "profile", false, "per-function mCPI attribution and i-cache conflict heatmap per version")
+	fs.BoolVar(&o.lint, "lint", false, "static layout lint: predicted i-cache conflicts per version from placed addresses, no simulation")
+	fs.StringVar(&o.optimize, "optimize", "", "search code placements with the static cost engine on these machine models (\"all\" or a comma-separated list); every candidate is equivalence-proved, winners confirmed by simulation")
+	fs.IntVar(&o.budget, "budget", 0, "annealing steps per machine for -optimize (0 = default)")
+	fs.IntVar(&o.top, "top", 10, "functions listed per version in -profile output")
+	fs.StringVar(&o.jsonPath, "json", "", "also write the run as a structured JSON document (manifest + data) to this path")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker pool for samples and table cells (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
+	fs.BoolVar(&o.serve, "serve", false, "run the experiment daemon: accept specs over HTTP, memoize results in -store, recover after crashes")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address for -serve (\":0\" picks a free port, announced on stderr) and daemon address for -submit")
+	fs.StringVar(&o.storeDir, "store", "protolat-store", "store directory for -serve: memoized documents, the journaled job queue, soak checkpoints")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long -serve waits for in-flight jobs on SIGTERM before cancelling them (journals survive for restart)")
+	fs.StringVar(&o.submit, "submit", "", "submit a spec file (\"-\" = stdin) to the daemon at -addr and print the resulting document")
+	fs.IntVar(&o.workers, "workers", 1, "concurrent job executors for -serve; each job gets an equal share of the -parallel pool, output identical at any count")
+	fs.Int64Var(&o.storeMax, "store-max", 0, "store byte cap for -serve: evict least-recently-used memoized documents past this size (0 = uncapped; journaled-but-unserved jobs never evicted)")
+	fs.IntVar(&o.retries, "retries", 0, "retry -submit this many times on 429/503, honoring the daemon's Retry-After hint with capped exponential backoff (0 = fail fast)")
+	return o, fs.Parse(args)
+}
+
+// spec maps the flags onto one study spec. Every flag lands in its field
+// and Normalized keeps only those the kind reads; the switch is the mode
+// precedence. Kind stays empty for the modes only the CLI has.
+func (o *options) spec() repro.ServeSpec {
+	s := repro.ServeSpec{
+		Stack: o.stack, Version: o.version, Quality: o.quality, Samples: o.samples,
+		Policy: o.policy, Classifier: o.classifier, Table: o.table, Seed: o.seed,
+		Rates: o.rates, Top: o.top, Budget: o.budget,
+	}
+	switch {
+	case o.soak:
+		s.Kind = "soak"
+	case o.optimize != "":
+		s.Kind, s.Models = "optimize", o.optimize
+	case o.lint:
+		s.Kind = "lint"
+	case o.profile:
+		s.Kind = "profile"
+	case o.faults:
+		s.Kind = "faults"
+	case o.machines != "" && o.machines != "list":
+		s.Kind, s.Models = "machines", o.machines
+	case o.machines != "" || o.tput || o.mconn || o.sens != "":
+	case o.stack != "":
+		s.Kind = "run"
+	case o.figure == 1 || o.figure == 2:
+	case o.table != 0:
+		s.Kind = "table"
+	}
+	return s
+}
+
 func main() {
-	var (
-		table    = flag.Int("table", 0, "print one table (1..9); 0 = all")
-		figure   = flag.Int("figure", 0, "print one figure (1 or 2); 0 = per -table setting")
-		quality  = flag.String("quality", "quick", "measurement effort: quick or paper")
-		stack    = flag.String("stack", "", "run a single configuration: tcpip or rpc")
-		version  = flag.String("version", "ALL", "version for -stack: BAD STD OUT CLO PIN ALL")
-		samples  = flag.Int("samples", 3, "samples for -stack runs")
-		classify = flag.Bool("classifier", false, "charge packet-classifier cost on PIN/ALL")
-		tput     = flag.Bool("throughput", false, "run the throughput check instead of tables")
-		sens     = flag.String("sensitivity", "", "run a sensitivity sweep: cache, machine, or assoc")
-		mconn    = flag.Bool("multiconn", false, "run the connection-time cloning experiment")
-		faultrun = flag.Bool("faults", false, "run the fault-injection study (degraded-path latency per layout strategy)")
-		soakrun  = flag.Bool("soak", false, "run the resumable soak: fault regimes x recovery policies x versions with tail-latency digests")
-		policy   = flag.String("policy", "", "recovery policy for -stack runs: fixed (default) or adaptive")
-		chkpoint = flag.String("checkpoint", "", "journal path for -soak; written after every chunk so a killed soak can -resume")
-		resume   = flag.Bool("resume", false, "continue a -soak run from its -checkpoint journal instead of starting fresh")
-		soakstop = flag.Int("soakstop", 0, "stop the soak at the first chunk boundary at or after this many units (0 = run to completion)")
-		seed     = flag.Uint64("seed", 1, "deterministic seed for -faults, -soak and -optimize; same seed = byte-identical report at any -parallel")
-		rates    = flag.String("rates", "", "comma-separated fault rates for -faults (default 0,0.02,0.05,0.10)")
-		machsel  = flag.String("machines", "", "run the machine-matrix study on these models: \"all\", a comma-separated list of names, or \"list\" to print the matrix")
-		profile  = flag.Bool("profile", false, "per-function mCPI attribution and i-cache conflict heatmap per version")
-		lint     = flag.Bool("lint", false, "static layout lint: predicted i-cache conflicts per version from placed addresses, no simulation")
-		optimiz  = flag.String("optimize", "", "search code placements with the static cost engine on these machine models (\"all\" or a comma-separated list); every candidate is equivalence-proved, winners confirmed by simulation")
-		budget   = flag.Int("budget", 0, "annealing steps per machine for -optimize (0 = default)")
-		cands    = flag.Int("candidates", 0, "searched placements confirmed by full simulation per machine for -optimize (0 = default)")
-		top      = flag.Int("top", 10, "functions listed per version in -profile output")
-		jsonPath = flag.String("json", "", "also write the run as a structured JSON document (manifest + data) to this path")
-		parallel = flag.Int("parallel", 0, "worker pool for samples and table cells (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-		serveM   = flag.Bool("serve", false, "run the experiment daemon: accept specs over HTTP, memoize results in -store, recover after crashes")
-		addr     = flag.String("addr", "127.0.0.1:8080", "listen address for -serve (\":0\" picks a free port, announced on stderr) and daemon address for -submit")
-		storeDir = flag.String("store", "protolat-store", "store directory for -serve: memoized documents, the journaled job queue, soak checkpoints")
-		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "how long -serve waits for in-flight jobs on SIGTERM before cancelling them (journals survive for restart)")
-		submit   = flag.String("submit", "", "submit a spec file (\"-\" = stdin) to the daemon at -addr and print the resulting document")
-		workers  = flag.Int("workers", 1, "concurrent job executors for -serve; each job gets an equal share of the -parallel pool, output identical at any count")
-		storeMax = flag.Int64("store-max", 0, "store byte cap for -serve: evict least-recently-used memoized documents past this size (0 = uncapped; journaled-but-unserved jobs never evicted)")
-		retries  = flag.Int("retries", 0, "retry -submit this many times on 429/503, honoring the daemon's Retry-After hint with capped exponential backoff (0 = fail fast)")
-	)
-	flag.Parse()
-	repro.SetParallelism(*parallel)
-
-	q := repro.Quick
-	if *quality == "paper" {
-		q = repro.PaperQuality
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	kind := repro.StackTCPIP
-	if strings.EqualFold(*stack, "rpc") {
-		kind = repro.StackRPC
+	if err != nil {
+		os.Exit(2)
 	}
-
-	// export writes the structured document when -json was given. command
-	// is the semantic invocation recorded in the manifest: it excludes
-	// -parallel and -json themselves, which cannot change the output.
-	export := func(command string, docSeed uint64, fill func(*repro.Document) error) {
-		if *jsonPath == "" {
-			return
-		}
-		doc := repro.Document{Manifest: repro.NewManifest(command, docSeed, q)}
-		doc.Manifest.GitDescribe = gitDescribe()
-		check(fill(&doc))
-		b, err := doc.Marshal()
-		check(err)
-		check(repro.StorageDisk.WriteFile(*jsonPath, b, 0o644))
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-	}
+	repro.SetParallelism(o.parallel)
 
 	switch {
-	case *serveM:
+	case o.serve:
 		// PROTOLAT_FSFAULT injects a deterministic storage fault layer
 		// beneath the daemon's store — the black-box seam the fsfault
 		// smoke test uses to starve the real binary's disk writes.
 		fsys, err := repro.StorageFromEnv(os.Getenv("PROTOLAT_FSFAULT"))
 		check(err)
 		srv, err := repro.NewServer(repro.ServeConfig{
-			Addr:          *addr,
-			StoreDir:      *storeDir,
-			DrainTimeout:  *drainTO,
+			Addr:          o.addr,
+			StoreDir:      o.storeDir,
+			DrainTimeout:  o.drainTimeout,
 			GitDescribe:   gitDescribe(),
-			Workers:       *workers,
-			StoreMaxBytes: *storeMax,
+			Workers:       o.workers,
+			StoreMaxBytes: o.storeMax,
 			FS:            fsys,
 		})
 		check(err)
 		check(srv.ListenAndServe())
+		return
 
-	case *submit != "":
-		check(submitSpec(*addr, *submit, *retries))
+	case o.submit != "":
+		check(submitSpec(o.addr, o.submit, o.retries))
+		return
+	}
 
-	case *soakrun:
-		cfg := repro.DefaultSoak(kind, *seed)
-		if *quality == "paper" {
-			cfg.BatchesPerCell = 10
-			cfg.BatchRoundtrips = 24
-		}
-		cfg.CheckpointPath = *chkpoint
-		cfg.StopAfterUnits = *soakstop
-		run := repro.Soak
-		if *resume {
-			run = repro.ResumeSoak
-		}
-		res, err := run(cfg)
+	spec := o.spec().Normalized()
+	kind, q, err := spec.StackQuality()
+	check(err)
+	if spec.Kind != "" {
+		st, err := repro.ComputeStudy(context.Background(), spec, gitDescribe(),
+			repro.StudyExec{CheckpointPath: o.checkpoint, StopAfterUnits: o.soakstop})
 		check(err)
-		fmt.Println(repro.SoakReport(res))
-		if res.Stopped {
+		fmt.Println(st.Text())
+		if st.Doc == nil {
 			// A partial soak exports nothing: the document describes a
 			// completed schedule, and the journal already holds the rest.
-			if *jsonPath != "" {
-				fmt.Fprintf(os.Stderr, "soak stopped early; no JSON written (resume with -resume -checkpoint %s)\n", *chkpoint)
+			if o.jsonPath != "" {
+				fmt.Fprintf(os.Stderr, "soak stopped early; no JSON written (rerun with -checkpoint %s to resume)\n", o.checkpoint)
 			}
 			return
 		}
-		// The manifest's quality block records the soak's own batch shape
-		// (export reads q through the closure).
-		q = repro.Quality{Warmup: cfg.Warmup, Measured: cfg.BatchRoundtrips, Samples: cfg.BatchesPerCell}
-		export(fmt.Sprintf("protolat -soak -stack %s -seed %d -quality %s", stackName(kind), *seed, *quality), *seed,
-			func(doc *repro.Document) error {
-				doc.Soak = repro.SoakDocOf(res)
-				return nil
-			})
+		writeJSON(o.jsonPath, st.Doc)
+		return
+	}
 
-	case *optimiz != "":
-		models, err := repro.SelectMachines(*optimiz)
-		check(err)
-		cfg := repro.DefaultOptimize(kind, *seed)
-		cfg.Models = models
-		if *budget > 0 {
-			cfg.Budget = *budget
+	switch {
+	case o.machines != "":
+		for _, m := range repro.MachineMatrix() {
+			fmt.Printf("%-12s %s\n", m.Name, m.Title)
 		}
-		if *cands > 0 {
-			cfg.TopK = *cands
-		}
-		if *quality == "paper" {
-			cfg.Quality = repro.Quality{Warmup: 8, Measured: 24, Samples: 3}
-		}
-		results, err := repro.Optimize(cfg)
-		check(err)
-		fmt.Println(repro.RenderOptimize(cfg, results))
-		export(fmt.Sprintf("protolat -optimize %s -stack %s -seed %d -budget %d -candidates %d -quality %s",
-			*optimiz, stackName(kind), *seed, cfg.Budget, cfg.TopK, *quality), *seed,
-			func(doc *repro.Document) error {
-				doc.Optimize = repro.OptimizeDocOf(cfg, results)
-				return nil
-			})
 
-	case *lint:
-		cells, err := repro.LintStudy(kind, repro.Bipartite)
-		check(err)
-		fmt.Println(repro.RenderLintStudy(kind, repro.Bipartite, cells))
-		export(fmt.Sprintf("protolat -lint -stack %s", stackName(kind)), 0,
-			func(doc *repro.Document) error {
-				doc.Verify = repro.LintStudyDocOf(kind, repro.Bipartite, cells)
-				return nil
-			})
-
-	case *profile:
-		text, results, err := repro.ProfileReport(kind, q, *top)
-		check(err)
-		fmt.Println(text)
-		export(fmt.Sprintf("protolat -profile -stack %s -top %d -quality %s", stackName(kind), *top, *quality), 0,
-			func(doc *repro.Document) error {
-				doc.Runs = repro.RunsDoc(results)
-				doc.Figures = append(doc.Figures, repro.Figure{
-					Name: "profile", Title: "Per-function mCPI attribution", Text: text})
-				return nil
-			})
-
-	case *faultrun:
-		cfg := repro.DefaultFaultStudy(kind, *seed)
-		if *quality != "paper" {
-			cfg.Quality = repro.Quality{Warmup: 3, Measured: 12, Samples: 1}
-		}
-		if *rates != "" {
-			cfg.Rates = parseRates(*rates)
-		}
-		text, err := repro.RunFaultStudy(cfg)
-		check(err)
-		fmt.Println(text)
-		export(fmt.Sprintf("protolat -faults -stack %s -seed %d -rates %s -quality %s",
-			stackName(kind), *seed, *rates, *quality), *seed,
-			func(doc *repro.Document) error {
-				cells, err := repro.FaultStudy(cfg)
-				if err != nil {
-					return err
-				}
-				doc.FaultStudy = repro.FaultStudyDocOf(cfg, cells)
-				rcells, err := repro.RecoveryComparison(kind, *seed, cfg.Quality)
-				if err != nil {
-					return err
-				}
-				doc.FaultStudy.Recovery = repro.RecoveryDocOf(rcells)
-				return nil
-			})
-
-	case *machsel != "":
-		if *machsel == "list" {
-			for _, m := range repro.MachineMatrix() {
-				fmt.Printf("%-12s %s\n", m.Name, m.Title)
-			}
-			return
-		}
-		models, err := repro.SelectMachines(*machsel)
-		check(err)
-		cfg := repro.DefaultMachineStudy(kind, *seed)
-		cfg.Models = models
-		if *quality == "paper" {
-			cfg.Quality = repro.Quality{Warmup: 8, Measured: 24, Samples: 3}
-		}
-		// The -rates default belongs to -faults; the machine matrix sweeps
-		// the clean rate unless fault rates are asked for explicitly.
-		machRates := ""
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "rates" {
-				machRates = *rates
-			}
-		})
-		if machRates != "" {
-			cfg.Rates = parseRates(machRates)
-		}
-		cells, err := repro.MachineStudy(cfg)
-		check(err)
-		fmt.Println(repro.RenderMachineStudy(cfg, cells))
-		export(fmt.Sprintf("protolat -machines %s -stack %s -seed %d -rates %s -quality %s",
-			*machsel, stackName(kind), *seed, machRates, *quality), *seed,
-			func(doc *repro.Document) error {
-				doc.Machines = repro.MachineStudyDocOf(cfg, cells)
-				return nil
-			})
-
-	case *tput:
+	case o.tput:
 		emit(repro.ThroughputTable(40, 1400))
 
-	case *mconn:
+	case o.mconn:
 		emit(repro.MultiConnectionTable(32))
 
-	case *sens != "":
-		switch *sens {
+	case o.sens != "":
+		switch o.sens {
 		case "machine":
 			emit(repro.Sensitivity(kind, repro.MachineSweep(), q))
 		case "assoc":
@@ -291,117 +221,52 @@ func main() {
 			emit(repro.Sensitivity(kind, repro.CacheSweep(), q))
 		}
 
-	case *stack != "":
-		runOne(kind, *version, *samples, *classify, *policy, q, *jsonPath != "", export)
-
-	case *figure == 1:
+	case o.figure == 1:
 		text, err := repro.Figure1()
 		check(err)
 		fmt.Println(text)
-		export("protolat -figure 1", 0, func(doc *repro.Document) error {
-			doc.Figures = []repro.Figure{{Name: "figure1", Title: "Test Protocol Stacks", Text: text}}
-			return nil
-		})
+		doc := newDoc("protolat -figure 1", q)
+		doc.Figures = []repro.Figure{{Name: "figure1", Title: "Test Protocol Stacks", Text: text}}
+		writeJSON(o.jsonPath, doc)
 
-	case *figure == 2:
+	case o.figure == 2:
 		text, err := repro.Figure2()
 		check(err)
 		fmt.Println(text)
-		export("protolat -figure 2", 0, func(doc *repro.Document) error {
-			doc.Figures = []repro.Figure{{Name: "figure2",
-				Title: "Effects of Outlining and Cloning on the i-cache footprint", Text: text}}
-			return nil
-		})
-
-	case *table >= 1 && *table <= 3:
-		var text string
-		var data repro.Table
-		var err error
-		switch *table {
-		case 1:
-			text, data, err = repro.Table1Full(q)
-		case 2:
-			text, data, err = repro.Table2Full(q)
-		case 3:
-			text, data, err = repro.Table3Full(q)
-		}
-		check(err)
-		fmt.Println(text)
-		export(fmt.Sprintf("protolat -table %d -quality %s", *table, *quality), 0,
-			func(doc *repro.Document) error {
-				doc.Tables = []repro.Table{data}
-				return nil
-			})
-
-	case *table >= 4 && *table <= 9:
-		// With -json the sweep runs profiled, so the document carries the
-		// per-function attribution behind the table's aggregates; the
-		// printed table is identical either way (a tested invariant).
-		tcpip, rpc, err := runSweeps(q, *jsonPath != "")
-		check(err)
-		var text string
-		var data []repro.Table
-		switch *table {
-		case 4, 5:
-			text, data = repro.Table45(tcpip, rpc), repro.Table45Data(tcpip, rpc)
-		case 6:
-			text, data = repro.Table6(tcpip, rpc), []repro.Table{repro.Table6Data(tcpip, rpc)}
-		case 7:
-			text, data = repro.Table7(tcpip, rpc), []repro.Table{repro.Table7Data(tcpip, rpc)}
-		case 8:
-			text, data = repro.Table8(tcpip, rpc), []repro.Table{repro.Table8Data(tcpip, rpc)}
-		case 9:
-			text, data = repro.Table9(tcpip, rpc), []repro.Table{repro.Table9Data(tcpip, rpc)}
-		}
-		fmt.Println(text)
-		export(fmt.Sprintf("protolat -table %d -quality %s", *table, *quality), 0,
-			func(doc *repro.Document) error {
-				doc.Tables = data
-				doc.Runs = append(repro.RunsDoc(tcpip), repro.RunsDoc(rpc)...)
-				return nil
-			})
+		doc := newDoc("protolat -figure 2", q)
+		doc.Figures = []repro.Figure{{Name: "figure2",
+			Title: "Effects of Outlining and Cloning on the i-cache footprint", Text: text}}
+		writeJSON(o.jsonPath, doc)
 
 	default:
-		text, err := repro.RenderAll(q)
+		text, tables, runs, err := repro.Evaluation(q)
 		check(err)
 		fmt.Println(text)
-		export(fmt.Sprintf("protolat -quality %s", *quality), 0,
-			func(doc *repro.Document) error {
-				tcpip, rpc, err := runSweeps(q, true)
-				if err != nil {
-					return err
-				}
-				doc.Tables = append(doc.Tables, repro.Table45Data(tcpip, rpc)...)
-				doc.Tables = append(doc.Tables,
-					repro.Table6Data(tcpip, rpc), repro.Table7Data(tcpip, rpc),
-					repro.Table8Data(tcpip, rpc), repro.Table9Data(tcpip, rpc))
-				doc.Runs = append(repro.RunsDoc(tcpip), repro.RunsDoc(rpc)...)
-				return nil
-			})
+		doc := newDoc("protolat -quality "+spec.Quality, q)
+		doc.Tables, doc.Runs = tables, runs
+		writeJSON(o.jsonPath, doc)
 	}
 }
 
-// runSweeps runs both stacks' version sweeps, profiled when the document
-// export needs attribution data.
-func runSweeps(q repro.Quality, profiled bool) (tcpip, rpc map[repro.Version]*repro.Result, err error) {
-	run := repro.RunVersions
-	if profiled {
-		run = repro.RunVersionsProfiled
-	}
-	if tcpip, err = run(repro.StackTCPIP, q); err != nil {
-		return nil, nil, err
-	}
-	if rpc, err = run(repro.StackRPC, q); err != nil {
-		return nil, nil, err
-	}
-	return tcpip, rpc, nil
+// newDoc starts the document of a CLI-only mode. command is the semantic
+// invocation: it excludes -parallel and -json, which cannot change the
+// output.
+func newDoc(command string, q repro.Quality) *repro.Document {
+	doc := &repro.Document{Manifest: repro.NewManifest(command, 0, q)}
+	doc.Manifest.GitDescribe = gitDescribe()
+	return doc
 }
 
-func stackName(kind repro.StackKind) string {
-	if kind == repro.StackRPC {
-		return "rpc"
+// writeJSON writes doc to path, the -json export; without -json it does
+// nothing.
+func writeJSON(path string, doc *repro.Document) {
+	if path == "" {
+		return
 	}
-	return "tcpip"
+	b, err := doc.Marshal()
+	check(err)
+	check(repro.StorageDisk.WriteFile(path, b, 0o644))
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 }
 
 // gitDescribe identifies the checkout for the manifest; empty (and omitted
@@ -412,48 +277,6 @@ func gitDescribe() string {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
-}
-
-func runOne(kind repro.StackKind, version string, samples int, classify bool, policy string,
-	q repro.Quality, profiled bool, export func(string, uint64, func(*repro.Document) error)) {
-	var ver repro.Version
-	found := false
-	for _, v := range repro.Versions() {
-		if strings.EqualFold(v.String(), version) {
-			ver, found = v, true
-		}
-	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "unknown version %q\n", version)
-		os.Exit(2)
-	}
-	rk, err := repro.ParseRecovery(policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	cfg := repro.DefaultConfig(kind, ver)
-	cfg.Warmup, cfg.Measured, cfg.Samples = q.Warmup, q.Measured, samples
-	cfg.UseClassifier = classify
-	cfg.Recovery = rk
-	cfg.Profile = profiled
-	res, err := repro.Run(cfg)
-	check(err)
-	s := res.First()
-	fmt.Printf("%v %v: Te %.1f +- %.2f us | Tp %.1f us | %0.f instrs | CPI %.2f (iCPI %.2f, mCPI %.2f)\n",
-		kind, ver, res.TeMeanUS, res.TeStdUS, s.TpUS, s.TraceLen, s.CPI, s.ICPI, s.MCPI)
-	fmt.Printf("  i-cache %v | d-cache/wb %v | b-cache %v\n", s.ICache, s.DCache, s.BCache)
-	fmt.Printf("  phases: wire %.1f us | controller %.1f us | processing %.1f us | timer wait %.1f us\n",
-		s.Phases.WireUS, s.Phases.ControllerUS, s.Phases.ProcessUS, s.Phases.TimerWaitUS)
-	command := fmt.Sprintf("protolat -stack %s -version %v -samples %d", stackName(kind), ver, samples)
-	if policy != "" {
-		command += " -policy " + string(rk)
-	}
-	export(command, 0,
-		func(doc *repro.Document) error {
-			doc.Runs = []repro.RunExport{repro.RunDoc(res)}
-			return nil
-		})
 }
 
 // submitSpec posts a spec file to the daemon at addr and prints the
@@ -480,27 +303,21 @@ func submitSpec(addr, path string, retries int) error {
 	return err
 }
 
-func parseRates(s string) []float64 {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		var r float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%g", &r); err != nil || r < 0 || r > 1 {
-			fmt.Fprintf(os.Stderr, "bad fault rate %q (want 0..1)\n", part)
-			os.Exit(2)
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 func emit(s string, err error) {
 	check(err)
 	fmt.Println(s)
 }
 
+// check exits on err: status 2 for an invalid flag value (a spec error),
+// 1 for a failed study.
 func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "protolat:", err)
-		os.Exit(1)
+	if err == nil {
+		return
 	}
+	fmt.Fprintln(os.Stderr, "protolat:", err)
+	var se *repro.ServeSpecError
+	if errors.As(err, &se) {
+		os.Exit(2)
+	}
+	os.Exit(1)
 }

@@ -38,12 +38,7 @@ import (
 
 func main() {
 	for _, stack := range []repro.StackKind{repro.StackTCPIP, repro.StackRPC} {
-		cfg := repro.DefaultFaultStudy(stack, 7)
-		out, err := repro.RunFaultStudy(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(out)
+		fmt.Println(faultStudy(repro.DefaultFaultStudy(stack, 7)))
 	}
 
 	fmt.Println("Same study, duplication/reordering only: no frame is ever lost, so no")
@@ -55,11 +50,7 @@ func main() {
 		return repro.FaultPlan{Seed: seed, DupProb: rate, ReorderProb: rate}
 	}
 	cfg.PlanDesc = "duplication r, reordering r — nothing lost, nothing corrupted"
-	out, err := repro.RunFaultStudy(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(out)
+	fmt.Println(faultStudy(cfg))
 
 	fmt.Println("Reading the tables: the ~100 ms degraded rows are retransmission")
 	fmt.Println("timeouts — when a frame is lost or fails its checksum, waiting for the")
@@ -68,4 +59,18 @@ func main() {
 	fmt.Println("degraded path costs within a few percent of mainline even though its")
 	fmt.Println("code was deliberately exiled from the optimized layout. Outlining's bet")
 	fmt.Println("is safe on both axes, and the clean-roundtrip column never moves.")
+}
+
+// faultStudy runs one study and renders it with its fixed-vs-adaptive
+// recovery comparison, as `protolat -faults` prints it.
+func faultStudy(cfg repro.FaultStudyConfig) string {
+	cells, err := repro.FaultStudy(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rcells, err := repro.RecoveryComparison(cfg.Stack, cfg.Seed, cfg.Quality)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return repro.RenderFaultStudy(cfg, cells, rcells)
 }

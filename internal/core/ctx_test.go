@@ -84,9 +84,6 @@ func TestFaultStudyCtxPreCancelled(t *testing.T) {
 	if _, err := FaultStudyCtx(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FaultStudyCtx: err = %v, want context.Canceled", err)
 	}
-	if _, err := RunFaultStudyCtx(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunFaultStudyCtx: err = %v, want context.Canceled", err)
-	}
 	if _, err := RecoveryComparisonCtx(ctx, StackTCPIP, 3, cfg.Quality); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RecoveryComparisonCtx: err = %v, want context.Canceled", err)
 	}

@@ -27,24 +27,21 @@ func TestFaultStudyParallelMatchesSerial(t *testing.T) {
 		cfg := quickFaultCfg(kind)
 		var serial, parallel []FaultCell
 		var serialTxt, parallelTxt string
-		withParallelism(t, 1, func() {
-			var err error
-			if serial, err = FaultStudy(cfg); err != nil {
-				t.Fatal(err)
+		study := func(cells *[]FaultCell, txt *string) func() {
+			return func() {
+				var err error
+				if *cells, err = FaultStudy(cfg); err != nil {
+					t.Fatal(err)
+				}
+				rcells, err := RecoveryComparison(kind, cfg.Seed, cfg.Quality)
+				if err != nil {
+					t.Fatal(err)
+				}
+				*txt = RenderFaultStudy(cfg, *cells, rcells)
 			}
-			if serialTxt, err = RunFaultStudy(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		withParallelism(t, 8, func() {
-			var err error
-			if parallel, err = FaultStudy(cfg); err != nil {
-				t.Fatal(err)
-			}
-			if parallelTxt, err = RunFaultStudy(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}
+		withParallelism(t, 1, study(&serial, &serialTxt))
+		withParallelism(t, 8, study(&parallel, &parallelTxt))
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("%v: parallel cells differ from serial", kind)
 		}

@@ -238,26 +238,15 @@ func runFaultSample(cfg Config, sampleIdx int) (fs faultSample, err error) {
 	return fs, nil
 }
 
-// RunFaultStudy renders the degraded-path latency study as a table: per
+// RenderFaultStudy renders computed fault-study cells as a table: per
 // strategy and fault rate, mainline vs degraded roundtrip latency, the
 // degradation penalty, and the injected-fault counters reconciled against
-// the link totals.
-func RunFaultStudy(cfg FaultStudyConfig) (string, error) {
-	return RunFaultStudyCtx(context.Background(), cfg)
-}
-
-// RunFaultStudyCtx is RunFaultStudy with cooperative cancellation (see
-// FaultStudyCtx for the boundaries at which ctx is honored).
-func RunFaultStudyCtx(ctx context.Context, cfg FaultStudyConfig) (string, error) {
-	cells, err := FaultStudyCtx(ctx, cfg)
-	if err != nil {
-		return "", err
-	}
+// the link totals, followed by the recovery comparison rcells (see
+// RecoveryComparison). It computes nothing, so a caller that also exports
+// the cells runs the study once.
+func RenderFaultStudy(cfg FaultStudyConfig, cells []FaultCell, rcells []RecoveryCell) string {
 	// Re-derive the effective shape for the header (FaultStudy fills the
 	// same defaults).
-	if len(cfg.Rates) == 0 {
-		cfg.Rates = DefaultFaultStudy(cfg.Stack, cfg.Seed).Rates
-	}
 	if cfg.Quality.Samples < 1 {
 		cfg.Quality = DefaultFaultStudy(cfg.Stack, cfg.Seed).Quality
 	}
@@ -315,11 +304,7 @@ func RunFaultStudyCtx(ctx context.Context, cfg FaultStudyConfig) (string, error)
 		total.LinkFrames, total.LinkDelivered, total.LinkDropped, total.LinkDuplicated,
 		inj.Corrupted, inj.Reordered)
 
-	rcells, err := RecoveryComparisonCtx(ctx, cfg.Stack, cfg.Seed, cfg.Quality)
-	if err != nil {
-		return "", err
-	}
 	b.WriteString("\n")
 	b.WriteString(RenderRecoveryTable(rcells))
-	return b.String(), nil
+	return b.String()
 }

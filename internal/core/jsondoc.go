@@ -238,17 +238,12 @@ func Table9Data(tcpip, rpc map[Version]*Result) obs.Table {
 	return t
 }
 
-// ProfileReport runs a profiled version sweep and renders, per version,
+// ProfileReportCtx runs a profiled version sweep and renders, per version,
 // the top-N mCPI contributors and the i-cache set-conflict heatmap — the
 // quantitative companion to the paper's Figure 2, naming the functions
 // whose placements collide. It returns the rendered report plus the
-// results for structured export.
-func ProfileReport(kind StackKind, q Quality, topN int) (string, map[Version]*Result, error) {
-	return ProfileReportCtx(context.Background(), kind, q, topN)
-}
-
-// ProfileReportCtx is ProfileReport with cooperative cancellation: ctx is
-// consulted between the sweep's samples.
+// results for structured export; ctx is consulted between the sweep's
+// samples.
 func ProfileReportCtx(ctx context.Context, kind StackKind, q Quality, topN int) (string, map[Version]*Result, error) {
 	results, err := RunVersionsProfiledCtx(ctx, kind, q)
 	if err != nil {

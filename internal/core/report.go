@@ -423,8 +423,33 @@ func Figure2() (string, error) {
 	return sb.String(), nil
 }
 
+// RunSweepsProfiledCtx runs both stacks' profiled version sweeps (see
+// RunVersionsProfiledCtx). The two sweeps are independent, so they run
+// concurrently, each fanning its own cells out on the shared pool.
+func RunSweepsProfiledCtx(ctx context.Context, q Quality) (tcpip, rpc map[Version]*Result, err error) {
+	kinds := []StackKind{StackTCPIP, StackRPC}
+	byKind := make([]map[Version]*Result, len(kinds))
+	if err := forEachIndexedCtx(ctx, len(kinds), CtxParallelism(ctx), func(i int) error {
+		r, err := RunVersionsProfiledCtx(ctx, kinds[i], q)
+		byKind[i] = r
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+	return byKind[0], byKind[1], nil
+}
+
 // RenderAll produces the full evaluation report.
 func RenderAll(q Quality) (string, error) {
+	text, _, _, err := Evaluation(q)
+	return text, err
+}
+
+// Evaluation runs the full evaluation section once: the report RenderAll
+// prints, plus Tables 4-9 as structured data and the profiled runs behind
+// them. Profiling is observation-only, so the report is the one an
+// unprofiled sweep prints.
+func Evaluation(q Quality) (text string, tables []obs.Table, runs []obs.Run, err error) {
 	var sb strings.Builder
 	add := func(s string, err error) error {
 		if err != nil {
@@ -433,37 +458,27 @@ func RenderAll(q Quality) (string, error) {
 		sb.WriteString(s + "\n")
 		return nil
 	}
-	if err := add(Figure1()); err != nil {
-		return "", err
+	for _, f := range []func() (string, error){
+		Figure1,
+		func() (string, error) { return Table1(q) },
+		func() (string, error) { return Table2(q) },
+		func() (string, error) { return Table3(q) },
+	} {
+		if err := add(f()); err != nil {
+			return "", nil, nil, err
+		}
 	}
-	if err := add(Table1(q)); err != nil {
-		return "", err
+	tcpip, rpc, err := RunSweepsProfiledCtx(context.Background(), q)
+	if err != nil {
+		return "", nil, nil, err
 	}
-	if err := add(Table2(q)); err != nil {
-		return "", err
+	for _, t := range []string{Table45(tcpip, rpc), Table6(tcpip, rpc), Table7(tcpip, rpc), Table8(tcpip, rpc), Table9(tcpip, rpc)} {
+		sb.WriteString(t + "\n")
 	}
-	if err := add(Table3(q)); err != nil {
-		return "", err
-	}
-	// The two stacks' version sweeps are independent; run them
-	// concurrently (each fans its own cells out on the shared pool).
-	kinds := []StackKind{StackTCPIP, StackRPC}
-	byKind := make([]map[Version]*Result, len(kinds))
-	if err := forEachIndexed(len(kinds), Parallelism(), func(i int) error {
-		r, err := RunVersions(kinds[i], q)
-		byKind[i] = r
-		return err
-	}); err != nil {
-		return "", err
-	}
-	tcpip, rpc := byKind[0], byKind[1]
-	sb.WriteString(Table45(tcpip, rpc) + "\n")
-	sb.WriteString(Table6(tcpip, rpc) + "\n")
-	sb.WriteString(Table7(tcpip, rpc) + "\n")
-	sb.WriteString(Table8(tcpip, rpc) + "\n")
-	sb.WriteString(Table9(tcpip, rpc) + "\n")
 	if err := add(Figure2()); err != nil {
-		return "", err
+		return "", nil, nil, err
 	}
-	return sb.String(), nil
+	tables = append(Table45Data(tcpip, rpc),
+		Table6Data(tcpip, rpc), Table7Data(tcpip, rpc), Table8Data(tcpip, rpc), Table9Data(tcpip, rpc))
+	return sb.String(), tables, append(RunsDoc(tcpip), RunsDoc(rpc)...), nil
 }

@@ -432,7 +432,7 @@ func TestCrashRecoveryRun(t *testing.T) {
 // soakTestSpec is a small soak: 16 units in two checkpoint chunks.
 const soakTestSpec = `{"kind":"soak","seed":5,"soak_batches":1,"soak_roundtrips":4}`
 
-// soakCfgFor mirrors document.go's soak config assembly for the test spec,
+// soakCfgFor mirrors study.go's soak config assembly for the test spec,
 // so the test can plant a mid-schedule checkpoint the daemon will resume.
 func soakCfgFor(store *Store, fp string) soak.Config {
 	cfg := soak.DefaultConfig(core.StackTCPIP, 5)

@@ -293,6 +293,20 @@ func (s *Server) buildWatched(ctx context.Context, cancel context.CancelFunc, j 
 	}
 }
 
+// buildDocument computes the document of a job's spec. A soak journals
+// its chunks under the job's fingerprint, so a restarted daemon resumes it.
+func (s *Server) buildDocument(ctx context.Context, spec Spec, fp string) (*obs.Document, error) {
+	st, err := Compute(ctx, spec, s.cfg.GitDescribe, Exec{
+		EventBudget:    s.cfg.EventBudget,
+		FS:             s.store.fs,
+		CheckpointPath: s.store.JournalPath(fp),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st.Doc, nil
+}
+
 // classify maps a job failure to its HTTP status and machine-readable
 // reason — the daemon's degradation ladder.
 func classify(err error) (int, string) {
@@ -518,7 +532,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // schema, so the same tooling that reads experiment exports reads daemon
 // health.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	doc := s.newDoc("protolat -serve", 0, core.Quick)
+	doc := &obs.Document{Manifest: core.NewManifest("protolat -serve", 0, core.Quick)}
+	doc.Manifest.GitDescribe = s.cfg.GitDescribe
 	st := s.Stats()
 	doc.Serve = &st
 	b, err := doc.Marshal()

@@ -39,15 +39,13 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/machines"
-	"repro/internal/optimize"
-	"repro/internal/protocols/recovery"
 )
 
-// Spec is one experiment request. Kind selects the mode (mirroring the
-// protolat CLI modes); the remaining fields parameterize it and are
-// canonicalized by Normalized so that semantically identical requests
-// fingerprint — and therefore memoize and coalesce — identically.
+// Spec is one experiment request, from the daemon's POST body or from
+// protolat's flags. Kind selects the study; the remaining fields
+// parameterize it and are canonicalized by Normalized so that
+// semantically identical requests fingerprint — and therefore memoize and
+// coalesce — identically.
 type Spec struct {
 	// Kind is the experiment mode: "run", "table", "faults", "soak",
 	// "lint", "profile", "machines", or "optimize".
@@ -63,6 +61,8 @@ type Spec struct {
 	// Policy is the recovery policy for "run": "fixed" (default) or
 	// "adaptive".
 	Policy string `json:"policy,omitempty"`
+	// Classifier charges the packet-classifier cost on PIN/ALL for "run".
+	Classifier bool `json:"classifier,omitempty"`
 	// Table selects the table (1..9) for "table".
 	Table int `json:"table,omitempty"`
 	// Seed drives the fault plans of "faults" and "soak" (default 1).
@@ -100,149 +100,62 @@ type SpecError struct {
 // Error renders the failure with its field.
 func (e *SpecError) Error() string { return fmt.Sprintf("spec field %q: %s", e.Field, e.Msg) }
 
-// Normalized canonicalizes the spec: defaults filled, case folded, and
-// every field irrelevant to the kind zeroed, so two requests that would
-// compute the same document carry the same bytes into Fingerprint.
+// Normalized canonicalizes the spec: case folded, defaults filled, and
+// only the fields the kind reads kept (see the kinds registry), so two
+// requests that would compute the same document carry the same bytes into
+// Fingerprint. Stack, quality and timeout are common to every kind.
 func (s Spec) Normalized() Spec {
-	s.Kind = strings.ToLower(strings.TrimSpace(s.Kind))
-	s.Stack = strings.ToLower(strings.TrimSpace(s.Stack))
-	if s.Stack == "" {
-		s.Stack = "tcpip"
+	c := Spec{
+		Kind:      lowerTrim(s.Kind),
+		Stack:     orDefault(lowerTrim(s.Stack), "tcpip"),
+		Quality:   orDefault(lowerTrim(s.Quality), "quick"),
+		TimeoutMS: max(s.TimeoutMS, 0),
 	}
-	s.Quality = strings.ToLower(strings.TrimSpace(s.Quality))
-	if s.Quality == "" {
-		s.Quality = "quick"
+	if k, ok := kinds[c.Kind]; ok {
+		k.keep(&c, s)
 	}
-	s.Policy = strings.ToLower(strings.TrimSpace(s.Policy))
-	s.Rates = strings.ReplaceAll(s.Rates, " ", "")
-	if s.TimeoutMS < 0 {
-		s.TimeoutMS = 0
-	}
-	switch s.Kind {
-	case "run":
-		if s.Version == "" {
-			s.Version = "ALL"
-		}
-		for _, v := range core.Versions() {
-			if strings.EqualFold(v.String(), s.Version) {
-				s.Version = v.String()
-			}
-		}
-		if s.Samples <= 0 {
-			s.Samples = 3
-		}
-		s.Table, s.Seed, s.Rates, s.Top = 0, 0, "", 0
-		s.SoakBatches, s.SoakRoundtrips, s.Models, s.Budget = 0, 0, "", 0
-	case "table":
-		s.Version, s.Samples, s.Policy = "", 0, ""
-		s.Seed, s.Rates, s.Top = 0, "", 0
-		s.SoakBatches, s.SoakRoundtrips, s.Models, s.Budget = 0, 0, "", 0
-	case "faults":
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		s.Version, s.Samples, s.Policy, s.Table, s.Top = "", 0, "", 0, 0
-		s.SoakBatches, s.SoakRoundtrips, s.Models, s.Budget = 0, 0, "", 0
-	case "soak":
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		s.Version, s.Samples, s.Policy, s.Table = "", 0, "", 0
-		s.Rates, s.Top, s.Models, s.Budget = "", 0, "", 0
-	case "lint":
-		// Lint is static: neither quality nor any run parameter matters.
-		s.Quality = "quick"
-		s.Version, s.Samples, s.Policy, s.Table = "", 0, "", 0
-		s.Seed, s.Rates, s.Top = 0, "", 0
-		s.SoakBatches, s.SoakRoundtrips, s.Models, s.Budget = 0, 0, "", 0
-	case "profile":
-		if s.Top <= 0 {
-			s.Top = 10
-		}
-		s.Version, s.Samples, s.Policy, s.Table = "", 0, "", 0
-		s.Seed, s.Rates = 0, ""
-		s.SoakBatches, s.SoakRoundtrips, s.Models, s.Budget = 0, 0, "", 0
-	case "machines":
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		// "all" and "" select the same sweep; canonicalize to "all" so
-		// both spellings share one fingerprint. Explicit lists keep their
-		// order — it is report order, a semantic input.
-		s.Models = strings.ReplaceAll(strings.ToLower(s.Models), " ", "")
-		if s.Models == "" {
-			s.Models = "all"
-		}
-		s.Version, s.Samples, s.Policy, s.Table, s.Top = "", 0, "", 0, 0
-		s.SoakBatches, s.SoakRoundtrips, s.Budget = 0, 0, 0
-	case "optimize":
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		if s.Budget <= 0 {
-			// The default budget is part of the canonical spec: a request
-			// that spells it out fingerprints like one that relies on it.
-			s.Budget = optimize.DefaultBudget
-		}
-		s.Models = strings.ReplaceAll(strings.ToLower(s.Models), " ", "")
-		if s.Models == "" {
-			s.Models = "all"
-		}
-		s.Version, s.Samples, s.Policy, s.Table, s.Top = "", 0, "", 0, 0
-		s.Rates, s.SoakBatches, s.SoakRoundtrips = "", 0, 0
-	}
-	return s
+	return c
 }
 
 // Validate checks a normalized spec, returning a *SpecError naming the
 // first offending field.
 func (s Spec) Validate() error {
-	switch s.Kind {
-	case "run", "table", "faults", "soak", "lint", "profile", "machines", "optimize":
-	case "":
-		return &SpecError{Field: "kind", Msg: "required (run, table, faults, soak, lint, profile, machines, optimize)"}
+	k, ok := kinds[s.Kind]
+	switch {
+	case s.Kind == "":
+		return &SpecError{Field: "kind", Msg: "required (" + kindNames + ")"}
+	case !ok:
+		return &SpecError{Field: "kind", Msg: fmt.Sprintf("unknown kind %q (want %s)", s.Kind, kindNames)}
+	}
+	if _, _, err := s.StackQuality(); err != nil {
+		return err
+	}
+	if k.check == nil {
+		return nil
+	}
+	return k.check(s)
+}
+
+// StackQuality resolves a normalized spec's stack and quality preset, or
+// returns the *SpecError naming the bad one. Validate applies it to every
+// kind; the CLI's text-only modes use it alone.
+func (s Spec) StackQuality() (core.StackKind, core.Quality, error) {
+	var kind core.StackKind
+	switch s.Stack {
+	case "tcpip":
+		kind = core.StackTCPIP
+	case "rpc":
+		kind = core.StackRPC
 	default:
-		return &SpecError{Field: "kind", Msg: fmt.Sprintf("unknown kind %q (want run, table, faults, soak, lint, profile, machines, optimize)", s.Kind)}
+		return 0, core.Quality{}, &SpecError{Field: "stack", Msg: fmt.Sprintf("unknown stack %q (want tcpip or rpc)", s.Stack)}
 	}
-	if s.Stack != "tcpip" && s.Stack != "rpc" {
-		return &SpecError{Field: "stack", Msg: fmt.Sprintf("unknown stack %q (want tcpip or rpc)", s.Stack)}
+	switch s.Quality {
+	case "quick":
+		return kind, core.Quick, nil
+	case "paper":
+		return kind, core.PaperQuality, nil
 	}
-	if s.Quality != "quick" && s.Quality != "paper" {
-		return &SpecError{Field: "quality", Msg: fmt.Sprintf("unknown quality %q (want quick or paper)", s.Quality)}
-	}
-	switch s.Kind {
-	case "run":
-		if _, err := s.version(); err != nil {
-			return err
-		}
-		if _, err := recovery.ParseKind(s.Policy); err != nil {
-			return &SpecError{Field: "policy", Msg: err.Error()}
-		}
-	case "table":
-		if s.Table < 1 || s.Table > 9 {
-			return &SpecError{Field: "table", Msg: fmt.Sprintf("table %d out of range (want 1..9)", s.Table)}
-		}
-	case "faults":
-		if s.Rates != "" {
-			if _, err := parseRates(s.Rates); err != nil {
-				return &SpecError{Field: "rates", Msg: err.Error()}
-			}
-		}
-	case "machines":
-		if _, err := machines.Select(s.Models); err != nil {
-			return &SpecError{Field: "models", Msg: err.Error()}
-		}
-		if s.Rates != "" {
-			if _, err := parseRates(s.Rates); err != nil {
-				return &SpecError{Field: "rates", Msg: err.Error()}
-			}
-		}
-	case "optimize":
-		if _, err := machines.Select(s.Models); err != nil {
-			return &SpecError{Field: "models", Msg: err.Error()}
-		}
-	}
-	return nil
+	return 0, core.Quality{}, &SpecError{Field: "quality", Msg: fmt.Sprintf("unknown quality %q (want quick or paper)", s.Quality)}
 }
 
 // Fingerprint identifies the document this spec computes: a hash of the
@@ -270,20 +183,16 @@ func (s Spec) version() (core.Version, error) {
 	return 0, &SpecError{Field: "version", Msg: fmt.Sprintf("unknown version %q", s.Version)}
 }
 
-// stackKind resolves the spec's Stack name (already validated).
-func (s Spec) stackKind() core.StackKind {
-	if s.Stack == "rpc" {
-		return core.StackRPC
-	}
-	return core.StackTCPIP
-}
+// lowerTrim folds a name field's case and surrounding space.
+func lowerTrim(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 
-// quality resolves the spec's Quality preset.
-func (s Spec) quality() core.Quality {
-	if s.Quality == "paper" {
-		return core.PaperQuality
+// orDefault returns v, or def when v is the zero value.
+func orDefault[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
+		return def
 	}
-	return core.Quick
+	return v
 }
 
 // parseRates parses a comma-separated fault-rate list.

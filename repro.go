@@ -33,7 +33,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machines"
 	"repro/internal/obs"
-	"repro/internal/optimize"
 	"repro/internal/protocols/recovery"
 	"repro/internal/serve"
 	"repro/internal/soak"
@@ -140,6 +139,13 @@ var (
 // RenderAll regenerates the full evaluation section.
 func RenderAll(q Quality) (string, error) { return core.RenderAll(q) }
 
+// Evaluation runs the full evaluation section once: the report RenderAll
+// prints, plus Tables 4-9 as structured data and the profiled runs behind
+// them.
+func Evaluation(q Quality) (text string, tables []Table, runs []RunExport, err error) {
+	return core.Evaluation(q)
+}
+
 // ThroughputResult reports a bulk-transfer measurement; Throughput and
 // ThroughputTable verify the paper's §4.1 claim that the latency techniques
 // do not hurt throughput.
@@ -232,25 +238,22 @@ func DefaultFaultStudy(kind StackKind, seed uint64) FaultStudyConfig {
 }
 
 // FaultStudy runs every (version, rate) cell and returns the raw cells;
-// RunFaultStudy renders them as a table. Both are deterministic at any
-// parallelism for a fixed seed.
+// RenderFaultStudy renders them, with a RecoveryComparison, as the table
+// `protolat -faults` prints. Both are deterministic at any parallelism for
+// a fixed seed.
 func FaultStudy(cfg FaultStudyConfig) ([]FaultCell, error) { return core.FaultStudy(cfg) }
 
-// RunFaultStudy renders the fault-injection study: per layout strategy and
-// fault rate, mainline vs degraded-path roundtrip latency with reconciled
-// fault counters and the §4.3 phase split of each population.
-func RunFaultStudy(cfg FaultStudyConfig) (string, error) { return core.RunFaultStudy(cfg) }
-
-// FaultStudyCtx and RunFaultStudyCtx are the cancellable forms: ctx is
+// FaultStudyCtx is FaultStudy with cooperative cancellation: ctx is
 // consulted between cells and between the samples within a cell.
 func FaultStudyCtx(ctx context.Context, cfg FaultStudyConfig) ([]FaultCell, error) {
 	return core.FaultStudyCtx(ctx, cfg)
 }
 
-// RunFaultStudyCtx renders the fault study under cooperative cancellation.
-func RunFaultStudyCtx(ctx context.Context, cfg FaultStudyConfig) (string, error) {
-	return core.RunFaultStudyCtx(ctx, cfg)
-}
+// RenderFaultStudy renders computed fault-study cells: per layout strategy
+// and fault rate, mainline vs degraded-path roundtrip latency with
+// reconciled fault counters and the §4.3 phase split of each population,
+// followed by the recovery comparison rcells.
+var RenderFaultStudy = core.RenderFaultStudy
 
 // MachineModel is one named machine configuration of the curated matrix
 // (internal/machines): the paper's DEC 3000/600 plus variants that change
@@ -260,43 +263,8 @@ type MachineModel = machines.Model
 // MachineMatrix returns the full curated matrix in canonical report order.
 func MachineMatrix() []MachineModel { return machines.Matrix() }
 
-// SelectMachines resolves a -machines style selection: "all" (or "") for
-// the whole matrix, otherwise a comma-separated list of model names.
-func SelectMachines(spec string) ([]MachineModel, error) { return machines.Select(spec) }
-
 // MachineByName returns one model of the matrix by its stable name.
 func MachineByName(name string) (MachineModel, error) { return machines.ByName(name) }
-
-// MachineStudyConfig and MachineCell parameterize and report the
-// machine-matrix study: layout versions × machine models (× optional fault
-// rates), each cell cross-checked against the static layout lint on the
-// model's own cache geometry.
-type (
-	MachineStudyConfig = core.MachineStudyConfig
-	MachineCell        = core.MachineCell
-)
-
-// DefaultMachineStudy returns the standard study shape: the full matrix,
-// all six layout versions, clean links, quick per-cell quality.
-func DefaultMachineStudy(kind StackKind, seed uint64) MachineStudyConfig {
-	return core.DefaultMachineStudy(kind, seed)
-}
-
-// MachineStudy runs every (model, version, rate) cell and returns the raw
-// cells; RenderMachineStudy formats them. Deterministic at any parallelism.
-func MachineStudy(cfg MachineStudyConfig) ([]MachineCell, error) { return core.MachineStudy(cfg) }
-
-// MachineStudyCtx is MachineStudy with cooperative cancellation.
-func MachineStudyCtx(ctx context.Context, cfg MachineStudyConfig) ([]MachineCell, error) {
-	return core.MachineStudyCtx(ctx, cfg)
-}
-
-// RenderMachineStudy renders the machine-matrix study: per machine, every
-// version's latency and cache behaviour, then the per-machine summary of
-// what each technique still buys over STD.
-func RenderMachineStudy(cfg MachineStudyConfig, cells []MachineCell) string {
-	return core.RenderMachineStudy(cfg, cells)
-}
 
 // Observability layer (see internal/obs). Profile is the per-function
 // attribution of one traced path invocation — set Config.Profile (or use
@@ -322,38 +290,11 @@ func RunVersionsProfiled(kind StackKind, q Quality) (map[Version]*Result, error)
 	return core.RunVersionsProfiled(kind, q)
 }
 
-// ProfileReport renders the per-function mCPI attribution for every
-// version of a stack: top-N contributors plus the i-cache set-conflict
-// heatmap naming the functions whose placements collide (the quantitative
-// companion of Figure 2). The returned results feed structured export.
-func ProfileReport(kind StackKind, q Quality, topN int) (string, map[Version]*Result, error) {
-	return core.ProfileReport(kind, q, topN)
-}
-
 // NewManifest builds a document manifest. command should carry only
 // semantic flags (not -parallel or -json, which cannot change output).
 func NewManifest(command string, seed uint64, q Quality) Manifest {
 	return core.NewManifest(command, seed, q)
 }
-
-// Structured-export builders mirroring the text renderers value for value:
-// the *Full table generators run the measurement once and return both
-// renderings; the *Data builders are pure over already-computed results.
-var (
-	Table1Full        = core.Table1Full
-	Table2Full        = core.Table2Full
-	Table3Full        = core.Table3Full
-	Table45Data       = core.Table45Data
-	Table6Data        = core.Table6Data
-	Table7Data        = core.Table7Data
-	Table8Data        = core.Table8Data
-	Table9Data        = core.Table9Data
-	RunDoc            = core.RunDoc
-	RunsDoc           = core.RunsDoc
-	FaultStudyDocOf   = core.FaultStudyDocOf
-	MachineStudyDocOf = core.MachineStudyDocOf
-	SampleDoc         = core.SampleDoc
-)
 
 // RecoveryKind selects the transport retransmission-timer policy: "fixed"
 // (the historical 200 ms doubling RTO / 100 ms CHAN timer) or "adaptive"
@@ -368,9 +309,6 @@ const (
 	RecoveryAdaptive = recovery.Adaptive
 )
 
-// ParseRecovery parses a -policy flag value ("" selects fixed).
-func ParseRecovery(s string) (RecoveryKind, error) { return recovery.ParseKind(s) }
-
 // RecoveryCell is one (policy, rate) point of the recovery comparison:
 // clean and degraded tail latencies under pure Bernoulli loss.
 type RecoveryCell = core.RecoveryCell
@@ -382,12 +320,11 @@ func RecoveryComparison(kind StackKind, seed uint64, q Quality) ([]RecoveryCell,
 	return core.RecoveryComparison(kind, seed, q)
 }
 
-// RenderRecoveryTable and RecoveryDocOf render comparison cells as text and
-// JSON; RunRoundtrips is the per-roundtrip measurement primitive beneath
-// the comparison and the soak harness.
+// RenderRecoveryTable renders comparison cells as text; RunRoundtrips is
+// the per-roundtrip measurement primitive beneath the comparison and the
+// soak harness.
 var (
 	RenderRecoveryTable = core.RenderRecoveryTable
-	RecoveryDocOf       = core.RecoveryDocOf
 	RunRoundtrips       = core.RunRoundtrips
 )
 
@@ -431,81 +368,12 @@ func ResumeSoakCtx(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 	return soak.ResumeCtx(ctx, cfg)
 }
 
-// SoakReport renders a soak result as text; SoakDocOf as the JSON form.
-var (
-	SoakReport = soak.Report
-	SoakDocOf  = soak.Doc
-)
+// SoakReport renders a soak result as text.
+var SoakReport = soak.Report
 
 // VerifyUnitStats re-checks the frame-conservation and injector
 // reconciliation invariants from one soak unit's recorded stats.
 var VerifyUnitStats = soak.VerifyUnitStats
-
-// LintCell is one version's static layout-lint verdict (see internal/verify):
-// the predicted i-cache footprint, replacement misses, and bipartite-partition
-// violations of the version's linked image, computed from placed addresses
-// alone.
-type LintCell = core.LintCell
-
-// LintStudy lints every version's linked image for a stack — a purely static
-// sweep, no simulation. RenderLintStudy formats the cells as the text report
-// `protolat -lint` prints; LintStudyDocOf as the document's verify section.
-func LintStudy(kind StackKind, strat CloneStrategy) ([]LintCell, error) {
-	return core.LintStudy(kind, strat)
-}
-
-// Lint-study renderers (text and JSON).
-var (
-	RenderLintStudy = core.RenderLintStudy
-	LintStudyDocOf  = core.LintStudyDocOf
-)
-
-// Layout search (see internal/optimize): the static layout cost engine
-// (verify.Cost) drives a deterministic search — greedy chain stitching
-// plus simulated annealing — over function order and padding of the ALL
-// image. Every candidate must pass well-formedness and a strict move-only
-// equivalence proof before it is scored, and the winners are confirmed by
-// full simulation against the hand bipartite baseline.
-type (
-	// OptimizeConfig parameterizes one layout search (stack, machines,
-	// seed, annealing budget, confirmation quality).
-	OptimizeConfig = optimize.Config
-	// OptimizeMachineResult is the search outcome for one machine model:
-	// hand baseline, proof-gate counters, and confirmed candidates.
-	OptimizeMachineResult = optimize.MachineResult
-	// OptimizeCandidate is one searched placement that passed both proofs
-	// and was confirmed by full simulation.
-	OptimizeCandidate = optimize.Candidate
-)
-
-// DefaultOptimize returns the standard search configuration for a stack:
-// the full machine matrix, the default budget, and the machine study's
-// confirmation quality.
-func DefaultOptimize(kind StackKind, seed uint64) OptimizeConfig {
-	return optimize.Default(kind, seed)
-}
-
-// Optimize runs the layout search over every configured machine;
-// RenderOptimize formats the results as the text report `protolat
-// -optimize` prints, OptimizeDocOf as the document's optimize section.
-func Optimize(cfg OptimizeConfig) ([]OptimizeMachineResult, error) { return optimize.Run(cfg) }
-
-// OptimizeCtx is Optimize with cooperative cancellation, consulted between
-// machines and confirmation runs.
-func OptimizeCtx(ctx context.Context, cfg OptimizeConfig) ([]OptimizeMachineResult, error) {
-	return optimize.RunCtx(ctx, cfg)
-}
-
-// Optimize renderers (text and JSON).
-var (
-	RenderOptimize = optimize.Render
-	OptimizeDocOf  = optimize.DocOf
-)
-
-// OptimizeWeightsFromProfile derives the search objective's per-function
-// frequency weights from a dynamic profile document (each function weighs
-// its measured call count), replacing the static usage hints.
-var OptimizeWeightsFromProfile = optimize.WeightsFromProfile
 
 // Experiment daemon (see internal/serve): `protolat -serve` exposes the
 // whole apparatus as a persistent HTTP/JSON service with a bounded
@@ -520,11 +388,29 @@ type (
 	// ServeServer is a running daemon; drive it with ListenAndServe or
 	// embed its Handler.
 	ServeServer = serve.Server
-	// ServeSpec is one experiment request (the POST /v1/experiments body).
+	// ServeSpec is one experiment request (the POST /v1/experiments body,
+	// or the study protolat's flags select).
 	ServeSpec = serve.Spec
+	// ServeSpecError reports an invalid spec field.
+	ServeSpecError = serve.SpecError
 	// ServeStats is the daemon-health section of a stats document.
 	ServeStats = obs.ServeStatsDoc
 )
+
+// Study is one computed study: its document and its text report.
+// StudyExec carries the execution details a spec's fingerprint leaves out
+// (event budget, soak checkpoint journal and stop point).
+type (
+	Study     = serve.Study
+	StudyExec = serve.Exec
+)
+
+// ComputeStudy runs the study a spec describes, as the daemon does for a
+// submission and protolat does for its flags; the document records
+// gitDescribe as the checkout identity.
+func ComputeStudy(ctx context.Context, spec ServeSpec, gitDescribe string, x StudyExec) (*Study, error) {
+	return serve.Compute(ctx, spec, gitDescribe, x)
+}
 
 // NewServer opens the daemon's store, replays the journaled job queue
 // (crash recovery), and starts its workers.

@@ -26,7 +26,7 @@ fi
 # Doc-comment gate: every exported top-level declaration in the packages
 # that form the repo's API surface must carry a doc comment.
 undocumented=$(
-	find . internal/core internal/faults internal/layout internal/machines internal/obs internal/optimize internal/storage internal/verify internal/vet \
+	find . internal/core internal/faults internal/layout internal/machines internal/obs internal/optimize internal/serve internal/soak internal/storage internal/verify internal/vet \
 		-maxdepth 1 -name '*.go' ! -name '*_test.go' |
 		while read -r f; do
 			awk -v f="$f" '

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Serve smoke test: exercise the experiment daemon end to end through the
-# real binary — no test hooks — and require its four robustness guarantees:
+# real binary — no test hooks — and require its five guarantees:
 #
 #   1. identical specs are memoized: the second submission is a store hit
 #      and byte-identical to the computed response,
 #   2. concurrent identical submissions return byte-identical documents,
-#   3. SIGTERM drains gracefully: the in-flight job completes with a 200,
+#   3. the CLI's -json export of a study equals the daemon's document for
+#      the same spec,
+#   4. SIGTERM drains gracefully: the in-flight job completes with a 200,
 #      the daemon exits 0, and a restarted daemon serves the result from
 #      its store,
-#   4. kill -9 mid-soak loses nothing: the restarted daemon replays the
+#   5. kill -9 mid-soak loses nothing: the restarted daemon replays the
 #      journaled job, resumes the soak from its checkpoint, and the result
 #      is byte-identical to one computed by an undisturbed daemon.
 #
@@ -95,7 +97,21 @@ cmp -s "$tmp/c1.json" "$tmp/c2.json" || {
     exit 1
 }
 
-# --- 3. SIGTERM drain with in-flight work ---------------------------------
+# --- 3. the CLI computes the daemon's document -----------------------------
+# protolat maps its flags onto the same spec and computes it through the
+# same path, so its -json export equals the daemon's response byte for byte.
+"$tmp/protolat" -lint -json "$tmp/cli_lint.json" > /dev/null 2>&1
+cmp -s "$tmp/r1.json" "$tmp/cli_lint.json" || {
+    echo "FAIL: protolat -lint -json differs from the daemon's lint document" >&2
+    exit 1
+}
+"$tmp/protolat" -stack tcpip -version STD -samples 1 -json "$tmp/cli_run.json" > /dev/null 2>&1
+cmp -s "$tmp/c1.json" "$tmp/cli_run.json" || {
+    echo "FAIL: protolat -stack tcpip -version STD -samples 1 -json differs from the daemon's run document" >&2
+    exit 1
+}
+
+# --- 4. SIGTERM drain with in-flight work ---------------------------------
 "$tmp/protolat" -addr "$DADDR" -submit "$tmp/soak.json" > "$tmp/bg.json" 2> /dev/null &
 bgpid=$!
 wait_present "$store1/*.job.json"
@@ -128,7 +144,7 @@ cmp -s "$tmp/bg.json" "$tmp/r3.json" || {
 kill -TERM "$DPID" && wait "$DPID" || true
 unset DPID
 
-# --- 4. kill -9 mid-soak, replay, byte-identical result -------------------
+# --- 5. kill -9 mid-soak, replay, byte-identical result -------------------
 store2=$tmp/store2
 start_daemon "$store2" "$tmp/d3.log"
 ("$tmp/protolat" -addr "$DADDR" -submit "$tmp/soak2.json" > /dev/null 2>&1 || true) &
@@ -159,4 +175,4 @@ cmp -s "$tmp/rec.json" "$tmp/ref.json" || {
 kill -TERM "$DPID" && wait "$DPID" || true
 unset DPID
 
-echo "serve smoke OK: memoized, coalesced, drained, crash-recovered byte-identical"
+echo "serve smoke OK: memoized, coalesced, CLI-identical, drained, crash-recovered byte-identical"

@@ -27,7 +27,8 @@ cmp -s "$tmp/p1.json" "$tmp/p8.json" || {
 
 "$tmp/protolat" -soak -seed 11 -checkpoint "$tmp/soak.journal" -soakstop 20 \
     > /dev/null
-"$tmp/protolat" -soak -seed 11 -checkpoint "$tmp/soak.journal" -resume \
+# The journal exists, so the second run resumes from it.
+"$tmp/protolat" -soak -seed 11 -checkpoint "$tmp/soak.journal" \
     -parallel 8 -json "$tmp/resumed.json" > /dev/null
 
 cmp -s "$tmp/p1.json" "$tmp/resumed.json" || {
