@@ -9,6 +9,8 @@ import (
 	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/layout"
+	"repro/internal/machines"
+	"repro/internal/optimize"
 	"repro/internal/protocols/features"
 	"repro/internal/trace"
 	"repro/internal/xkernel"
@@ -400,4 +402,28 @@ func BenchmarkTraceReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(tr.Len()), "trace-instrs")
+}
+
+// BenchmarkOptimizeSearch runs one layout search on the 21064 baseline at
+// budget 300: about 300 candidate placements cloned, placed, linked, proved
+// and scored, then the winners confirmed by simulation. It reports the
+// candidates examined per second, the search's rate of work.
+func BenchmarkOptimizeSearch(b *testing.B) {
+	m, err := machines.ByName("dec3000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := optimize.Default(core.StackTCPIP, 1)
+	cfg.Models = []machines.Model{m}
+	cfg.Budget = 300
+	b.ReportAllocs()
+	examined := 0
+	for i := 0; i < b.N; i++ {
+		rs, err := optimize.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		examined += rs[0].Examined
+	}
+	b.ReportMetric(float64(examined)/b.Elapsed().Seconds(), "candidates/s")
 }

@@ -26,9 +26,9 @@ func TestEngineStepLoopAllocFree(t *testing.T) {
 		t.Fatalf("Link: %v", err)
 	}
 	e := NewEngine(cpu.New(mem.New(arch.DEC3000_600())), p)
-	env := NewBinding(nil)
-	env.Bind("state", 0x1000)
-	env.Bind("$stack", 0x2000)
+	env := NewBinding()
+	env.Bind(Intern("state"), 0x1000)
+	env.Bind(Intern("$stack"), 0x2000)
 	env.SetFunc("more", Counter(func() int { return 8 }))
 
 	e.MustRun("hot", env) // warm the caches and any lazy state
@@ -56,7 +56,7 @@ func TestEngineRunWithObserverAllocFree(t *testing.T) {
 	var n int
 	e.Observer = func(cpu.Entry) { n++ }
 	e.MustRun("hot", nil)
-	env := NewBinding(nil)
+	env := NewBinding()
 	allocs := testing.AllocsPerRun(50, func() {
 		e.MustRun("hot", env)
 	})

@@ -13,7 +13,7 @@ import (
 type Builder struct {
 	f    *Function
 	cur  *Block
-	offs map[string]uint32
+	offs map[Sym]uint32
 	errs []error
 }
 
@@ -30,10 +30,10 @@ func (b *Builder) Frame(nRegs int) *Builder {
 	blk := b.block()
 	blk.Instrs = append(blk.Instrs, Instr{Op: arch.OpALU, Prologue: true})
 	for i := 0; i < nRegs; i++ {
-		blk.Instrs = append(blk.Instrs, Instr{Op: arch.OpStore, Data: "$stack", Off: uint32(8 * i), Prologue: true})
+		blk.Instrs = append(blk.Instrs, Instr{Op: arch.OpStore, Data: StackSym, Off: uint32(8 * i), Prologue: true})
 	}
 	for i := 0; i < nRegs; i++ {
-		b.f.Epilogue = append(b.f.Epilogue, Instr{Op: arch.OpLoad, Data: "$stack", Off: uint32(8 * i)})
+		b.f.Epilogue = append(b.f.Epilogue, Instr{Op: arch.OpLoad, Data: StackSym, Off: uint32(8 * i)})
 	}
 	b.f.Epilogue = append(b.f.Epilogue, Instr{Op: arch.OpALU})
 	return b
@@ -97,44 +97,51 @@ func (b *Builder) Mul() *Builder { return b.emit(Instr{Op: arch.OpMul}) }
 // strides so consecutive accesses walk across cache blocks the way field
 // accesses to a large structure do.
 func (b *Builder) Load(obj string, n int) *Builder {
-	blk := b.block()
-	for i := 0; i < n; i++ {
-		blk.Instrs = append(blk.Instrs, Instr{Op: arch.OpLoad, Data: obj, Off: b.nextOff(obj)})
-	}
-	return b
+	return b.access(arch.OpLoad, obj, n)
 }
 
 // Store emits n stores to the named object.
 func (b *Builder) Store(obj string, n int) *Builder {
+	return b.access(arch.OpStore, obj, n)
+}
+
+// access emits n memory operations on obj, interning the name once per
+// call rather than once per emitted instruction.
+func (b *Builder) access(op arch.Op, obj string, n int) *Builder {
 	blk := b.block()
+	sym := Intern(obj)
 	for i := 0; i < n; i++ {
-		blk.Instrs = append(blk.Instrs, Instr{Op: arch.OpStore, Data: obj, Off: b.nextOff(obj)})
+		blk.Instrs = append(blk.Instrs, Instr{Op: op, Data: sym, Off: b.nextOff(sym)})
 	}
 	return b
 }
 
-// offCounters spreads object offsets; one counter per object per function.
-func (b *Builder) nextOff(obj string) uint32 {
+// nextOff spreads object offsets; one counter per object per function.
+func (b *Builder) nextOff(obj Sym) uint32 {
 	if b.offs == nil {
-		b.offs = map[string]uint32{}
+		b.offs = map[Sym]uint32{}
 	}
 	off := b.offs[obj]
 	b.offs[obj] = off + 8
 	return off
 }
 
+// gotSym names the global offset table the call sequence loads from.
+var gotSym = Intern("$got")
+
 // Call emits a standard indirect call sequence: the address-materializing
 // load (removable by cloning specialization) followed by the jsr.
 func (b *Builder) Call(callee string) *Builder {
-	b.emit(Instr{Op: arch.OpLoad, Data: "$got", Off: b.nextOff("$got"), CallLoad: true, Call: callee})
-	return b.emit(Instr{Op: arch.OpJump, Call: callee})
+	sym := Intern(callee)
+	b.emit(Instr{Op: arch.OpLoad, Data: gotSym, Off: b.nextOff(gotSym), CallLoad: true, Call: sym})
+	return b.emit(Instr{Op: arch.OpJump, Call: sym})
 }
 
 // CallRegister emits an indirect call through a computed register (protocol
 // demux tables): no address load to delete, and never convertible to a
 // PC-relative branch.
 func (b *Builder) CallRegister(callee string) *Builder {
-	return b.emit(Instr{Op: arch.OpJump, Call: callee})
+	return b.emit(Instr{Op: arch.OpJump, Call: Intern(callee)})
 }
 
 // Cond terminates the current block with a conditional branch on the named

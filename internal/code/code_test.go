@@ -1,6 +1,8 @@
 package code
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -18,7 +20,7 @@ func newEngine(t *testing.T, p *Program) *Engine {
 }
 
 // record runs fn under env and returns the emitted trace.
-func record(t *testing.T, e *Engine, fn string, env Env) []cpu.Entry {
+func record(t *testing.T, e *Engine, fn string, env *Binding) []cpu.Entry {
 	t.Helper()
 	var tr []cpu.Entry
 	e.Observer = func(en cpu.Entry) { tr = append(tr, en) }
@@ -140,7 +142,7 @@ func TestCondBranchPolarityFollowsPlacement(t *testing.T) {
 	p := NewProgram()
 	p.MustAdd(build())
 	e := newEngine(t, p)
-	env := NewBinding(nil).Set("err", false)
+	env := NewBinding().Set("err", false)
 	tr := record(t, e, "f", env)
 	if got := takenCount(tr); got != 2 { // cond branch over fail + ret
 		t.Fatalf("source order: taken branches = %d, want 2", got)
@@ -157,7 +159,7 @@ func TestCondBranchPolarityFollowsPlacement(t *testing.T) {
 	}
 	c := cpu.New(mem.New(arch.DEC3000_600()))
 	e2 := NewEngine(c, p2)
-	tr2 := record(t, e2, "f", NewBinding(nil).Set("err", false))
+	tr2 := record(t, e2, "f", NewBinding().Set("err", false))
 	if got := takenCount(tr2); got != 1 { // only the ret
 		t.Fatalf("outlined order: taken branches = %d, want 1", got)
 	}
@@ -166,7 +168,7 @@ func TestCondBranchPolarityFollowsPlacement(t *testing.T) {
 	}
 
 	// Error path under outlined order pays the extra jump.
-	tr3 := record(t, e2, "f", NewBinding(nil).Set("err", true))
+	tr3 := record(t, e2, "f", NewBinding().Set("err", true))
 	if got := takenCount(tr3); got != 2 { // branch to fail + ret
 		t.Fatalf("outlined error path: taken = %d, want 2", got)
 	}
@@ -183,11 +185,11 @@ func TestCondNeitherSideAdjacent(t *testing.T) {
 	p.MustAdd(f)
 	e := newEngine(t, p)
 	// Taking the Else side executes condbr (not taken) + explicit br.
-	trElse := record(t, e, "f", NewBinding(nil).Set("c", false))
+	trElse := record(t, e, "f", NewBinding().Set("c", false))
 	if got := opCount(trElse, arch.OpBr); got != 1 {
 		t.Fatalf("else path emitted %d br, want 1", got)
 	}
-	trThen := record(t, e, "f", NewBinding(nil).Set("c", true))
+	trThen := record(t, e, "f", NewBinding().Set("c", true))
 	if got := opCount(trThen, arch.OpBr); got != 0 {
 		t.Fatalf("then path emitted %d br, want 0", got)
 	}
@@ -224,14 +226,14 @@ func TestCountedLoop(t *testing.T) {
 	p.MustAdd(f)
 	e := newEngine(t, p)
 	for _, n := range []int{1, 3, 7} {
-		env := NewBinding(nil).PushCount("cp.more", n)
+		env := NewBinding().PushCount("cp.more", n)
 		tr := record(t, e, "cp", env)
 		if got := opCount(tr, arch.OpLoad); got != n {
 			t.Fatalf("n=%d: loads = %d", n, got)
 		}
 	}
 	// Queued counts serve successive invocations in FIFO order.
-	env := NewBinding(nil)
+	env := NewBinding()
 	env.PushCount("cp.more", 2)
 	env.PushCount("cp.more", 5)
 	tr1 := record(t, e, "cp", env)
@@ -256,28 +258,57 @@ func TestEnvAddressBindingAndFallback(t *testing.T) {
 		t.Fatalf("unbound operand at %#x, want static %#x", tr[0].DataAddr, static)
 	}
 
-	env := NewBinding(nil).Bind("tcb", 0x5000_0000)
+	env := NewBinding().Bind(Intern("tcb"), 0x5000_0000)
 	tr2 := record(t, e, "f", env)
 	if tr2[0].DataAddr != 0x5000_0000 {
 		t.Fatalf("bound operand at %#x", tr2[0].DataAddr)
 	}
 }
 
-func TestBindingParentDelegation(t *testing.T) {
-	parent := NewBinding(nil).Set("x", true).Bind("obj", 0x1234)
-	child := NewBinding(parent)
-	if !child.Cond("x") {
-		t.Fatal("child must delegate conditions to parent")
+// TestBindingResetAndShadowing covers the binding's lookup rules and its
+// generation reset: a later Set overrides an earlier one, a queued count
+// shadows a value even once exhausted, unknown names read false, and Reset
+// retires every condition, address and stack binding while keeping the
+// count queues for reuse.
+func TestBindingResetAndShadowing(t *testing.T) {
+	obj := Intern("obj")
+	b := NewBinding().Set("x", true).Bind(obj, 0x1234)
+	if !b.Cond("x") {
+		t.Fatal("set condition must read true")
 	}
-	if a, ok := child.Addr("obj"); !ok || a != 0x1234 {
-		t.Fatal("child must delegate addresses to parent")
+	b.Set("x", false)
+	if b.Cond("x") {
+		t.Fatal("a later Set must override an earlier one")
 	}
-	child.Set("x", false)
-	if child.Cond("x") {
-		t.Fatal("local binding must shadow parent")
-	}
-	if child.Cond("unknown") {
+	if b.Cond("unknown") {
 		t.Fatal("unknown conditions default to false")
+	}
+	b.Set("q", true).PushCount("q", 2)
+	if !b.Cond("q") || b.Cond("q") || b.Cond("q") {
+		t.Fatal("a queued count must shadow the value, even once exhausted")
+	}
+	if a, ok := b.Addr(obj); !ok || a != 0x1234 {
+		t.Fatalf("bound address = %#x, %v", a, ok)
+	}
+	b.Bind(StackSym, 0x4000)
+
+	b.Reset()
+	if b.Cond("x") || b.Cond("q") {
+		t.Fatal("Reset must retire conditions and queues")
+	}
+	if _, ok := b.Addr(obj); ok {
+		t.Fatal("Reset must retire address bindings")
+	}
+	if _, ok := b.Addr(StackSym); ok {
+		t.Fatal("Reset must retire the stack binding")
+	}
+	b.Set("q", true)
+	if !b.Cond("q") {
+		t.Fatal("a queue pushed before Reset must not shadow a value set after it")
+	}
+	b.PushCount("q", 1)
+	if b.Cond("q") {
+		t.Fatal("a count of one must read false at once")
 	}
 }
 
@@ -371,7 +402,7 @@ func TestMainlineVsStaticInstrs(t *testing.T) {
 }
 
 func TestDeterministicExecution(t *testing.T) {
-	build := func() (*Engine, Env) {
+	build := func() (*Engine, *Binding) {
 		callee := NewBuilder("lib", ClassLibrary).Load("buf", 2).ALU(3).Ret().MustBuild()
 		f := NewBuilder("f", ClassPath).
 			Frame(2).ALU(5).Call("lib").
@@ -383,7 +414,7 @@ func TestDeterministicExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := cpu.New(mem.New(arch.DEC3000_600()))
-		return NewEngine(c, p), NewBinding(nil).PushCount("f.iters", 4)
+		return NewEngine(c, p), NewBinding().PushCount("f.iters", 4)
 	}
 	e1, env1 := build()
 	e2, env2 := build()
@@ -475,7 +506,7 @@ func TestEpilogueUsesStackBinding(t *testing.T) {
 	p := NewProgram()
 	p.MustAdd(f)
 	e := newEngine(t, p)
-	env := NewBinding(nil).Bind("$stack", 0x4000_0000)
+	env := NewBinding().Bind(Intern("$stack"), 0x4000_0000)
 	tr := record(t, e, "f", env)
 	found := false
 	for _, en := range tr {
@@ -485,5 +516,37 @@ func TestEpilogueUsesStackBinding(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("frame save/restore did not touch the bound stack")
+	}
+}
+
+// TestInternConcurrent interns overlapping names from several goroutines at
+// once: every goroutine must get the same Sym for a name, and every Sym
+// must name what was interned.
+func TestInternConcurrent(t *testing.T) {
+	const workers, names = 8, 200
+	got := make([][]Sym, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([]Sym, names)
+			for i := 0; i < names; i++ {
+				n := (i*7 + w*31) % names // each worker in its own order
+				got[w][n] = Intern(fmt.Sprintf("concurrent.intern.%d", n))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := 0; i < names; i++ {
+		want := fmt.Sprintf("concurrent.intern.%d", i)
+		for w := 1; w < workers; w++ {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("%s interned as %d and %d", want, got[0][i], got[w][i])
+			}
+		}
+		if s := got[0][i].String(); s != want {
+			t.Fatalf("Sym %d names %q, want %q", got[0][i], s, want)
+		}
 	}
 }

@@ -58,16 +58,21 @@ func (e *Engine) Program() *Program { return e.prog }
 // different layout while keeping the simulated machine state).
 func (e *Engine) SetProgram(p *Program) { e.prog = p }
 
-// Run executes the named function's model under env.
-func (e *Engine) Run(fn string, env Env) error {
+// Run executes the named function's model under env; a nil env binds
+// nothing.
+func (e *Engine) Run(fn string, env *Binding) error {
 	if env == nil {
-		env = NewBinding(nil)
+		env = NewBinding()
 	}
-	return e.call(fn, env, 0)
+	s, ok := lookupSym(fn)
+	if !ok {
+		return fmt.Errorf("code: call to unknown function %q", fn)
+	}
+	return e.call(s, env, 0)
 }
 
 // MustRun is Run for callers that treat a model error as a bug.
-func (e *Engine) MustRun(fn string, env Env) {
+func (e *Engine) MustRun(fn string, env *Binding) {
 	if err := e.Run(fn, env); err != nil {
 		panic(fmt.Sprintf("code: MustRun(%s): %v", fn, err))
 	}
@@ -80,40 +85,45 @@ func (e *Engine) step(entry cpu.Entry) {
 	e.cpu.Step(entry)
 }
 
-// dataAddr resolves the effective address of a load/store operand. The Env
-// is consulted first (run-time state shadows static storage); named operands
-// the Env does not bind use the static address LinkData cached on the
-// instruction, and unnamed operands model a stack-frame access.
-func (e *Engine) dataAddr(env Env, in *Instr) uint64 {
-	if in.Data != "" {
-		if base, ok := env.Addr(in.Data); ok {
-			return base + uint64(in.Off)
-		}
-		if in.staticOK {
-			return in.staticBase + uint64(in.Off)
+// dataAddr resolves the effective address of a load/store operand. The
+// binding is consulted first (run-time state shadows static storage); named
+// operands it does not bind use the static address in the program's
+// Sym-indexed data table, and unnamed operands model a stack-frame access.
+func (e *Engine) dataAddr(env *Binding, in *Instr) uint64 {
+	if in.Data == NoSym {
+		if env.hasStack {
+			return env.stack + uint64(in.Off)%256
 		}
 		return DefaultDataBase + uint64(in.Off)
 	}
-	if base, ok := env.Addr("$stack"); ok {
-		return base + uint64(in.Off)%256
+	if base, ok := env.Addr(in.Data); ok {
+		return base + uint64(in.Off)
+	}
+	if data := e.prog.data; int(in.Data) < len(data) && data[in.Data].addr != 0 {
+		return data[in.Data].addr + uint64(in.Off)
 	}
 	return DefaultDataBase + uint64(in.Off)
 }
 
 // call executes one function model. The loop works entirely on the placed
 // blocks the linker resolved: successors and fall-throughs are pointers, so
-// a block transition costs a comparison rather than a label-map lookup.
-func (e *Engine) call(name string, env Env, depth int) error {
+// a block transition costs a comparison rather than a label-map lookup, and
+// a call reaches its callee's placement by Sym index.
+func (e *Engine) call(fn Sym, env *Binding, depth int) error {
 	if depth > maxCallDepth {
-		return fmt.Errorf("code: call depth exceeded at %q (cycle in code models?)", name)
+		return fmt.Errorf("code: call depth exceeded at %q (cycle in code models?)", fn)
 	}
-	pl := e.prog.placements[name]
+	var pl *Placement
+	if int(fn) < len(e.prog.placements) {
+		pl = e.prog.placements[fn]
+	}
 	if pl == nil {
-		if e.prog.funcs[name] == nil {
-			return fmt.Errorf("code: call to unknown function %q", name)
+		if e.prog.FuncSym(fn) == nil {
+			return fmt.Errorf("code: call to unknown function %q", fn)
 		}
-		return fmt.Errorf("code: function %q has no placement (program not linked)", name)
+		return fmt.Errorf("code: function %q has no placement (program not linked)", fn)
 	}
+	name := pl.fn.Name
 
 	if e.Attr != nil {
 		e.Attr.EnterFunc(name)
@@ -146,7 +156,7 @@ func (e *Engine) call(name string, env Env, depth int) error {
 			}
 			c.Step(entry)
 			addr += instrBytes
-			if in.Call != "" && in.Op == arch.OpJump {
+			if in.Call != NoSym && in.Op == arch.OpJump {
 				if err := e.call(in.Call, env, depth+1); err != nil {
 					if e.Attr != nil {
 						e.Attr.ExitFunc(name)

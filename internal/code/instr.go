@@ -16,6 +16,7 @@ package code
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 )
@@ -74,20 +75,12 @@ func (k BlockKind) String() string {
 // out of the mainline.
 func (k BlockKind) Outlinable() bool { return k != BlockMain }
 
-// Instr is one modeled machine instruction.
+// Instr is one modeled machine instruction. It is 16 bytes and holds no
+// pointers: names are interned Syms, so copying a program's instruction
+// streams is a plain memory copy the garbage collector never scans.
 type Instr struct {
 	// Op is the instruction class (see internal/arch).
 	Op arch.Op
-	// Data names the memory operand of a load or store; the Env resolves
-	// it to a base address at run time, and unresolved names fall back to
-	// linker-assigned static storage.
-	Data string
-	// Off is the byte offset of the access within the named object,
-	// assigned by the builder to spread accesses across the object.
-	Off uint32
-	// Call names the function invoked by this jump; the engine recurses
-	// into the callee's model after emitting the instruction.
-	Call string
 	// CallLoad marks the address-materializing load of a call sequence
 	// (the ldq of the callee's procedure descriptor). Cloning's
 	// specialization deletes it when it converts an indirect call into a
@@ -96,13 +89,16 @@ type Instr struct {
 	// Prologue marks a function-prologue instruction that cloning's
 	// calling-convention specialization may skip.
 	Prologue bool
-
-	// staticBase caches the linker-assigned address of Data, filled in by
-	// LinkData; staticOK marks it valid. The Env may still shadow it with
-	// a run-time binding, but when it does not the engine reads the
-	// address here instead of hashing the symbol name per execution.
-	staticBase uint64
-	staticOK   bool
+	// Data names the memory operand of a load or store; the Binding
+	// resolves it to a base address at run time, and unbound names fall
+	// back to the linker-assigned static storage (Program.DataAddr).
+	Data Sym
+	// Off is the byte offset of the access within the named object,
+	// assigned by the builder to spread accesses across the object.
+	Off uint32
+	// Call names the function invoked by this jump; the engine recurses
+	// into the callee's model after emitting the instruction.
+	Call Sym
 }
 
 // TermKind is the way a basic block ends.
@@ -145,12 +141,6 @@ type Block struct {
 	Term   Term
 }
 
-func (b *Block) clone() *Block {
-	nb := *b
-	nb.Instrs = append([]Instr(nil), b.Instrs...)
-	return &nb
-}
-
 // Function is one compiled function.
 type Function struct {
 	// Name is unique within a Program. Clones get derived names
@@ -165,18 +155,49 @@ type Function struct {
 	Epilogue []Instr
 }
 
-// Clone returns a deep copy of the function under a new name.
+// Clone returns a deep copy of the function under a new name. The copy
+// takes four allocations whatever the function's size: its blocks share
+// one array and its instruction streams one pointer-free backing array,
+// each stream capped at its own length so that appending to one block
+// reallocates it instead of overwriting the next.
 func (f *Function) Clone(name string) *Function {
-	nf := &Function{
-		Name:     name,
-		Class:    f.Class,
-		Blocks:   make([]*Block, len(f.Blocks)),
-		Epilogue: append([]Instr(nil), f.Epilogue...),
+	n := len(f.Epilogue)
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
 	}
+	instrs := make([]Instr, 0, n)
+	carve := func(src []Instr) []Instr {
+		if len(src) == 0 {
+			return nil
+		}
+		start := len(instrs)
+		instrs = append(instrs, src...)
+		return instrs[start:len(instrs):len(instrs)]
+	}
+	blocks := make([]Block, len(f.Blocks))
+	nf := &Function{Name: name, Class: f.Class, Blocks: make([]*Block, len(f.Blocks))}
 	for i, b := range f.Blocks {
-		nf.Blocks[i] = b.clone()
+		blocks[i] = *b
+		blocks[i].Instrs = carve(b.Instrs)
+		nf.Blocks[i] = &blocks[i]
 	}
+	nf.Epilogue = carve(f.Epilogue)
 	return nf
+}
+
+// blockFrom returns the block with the given label, or nil, searching from
+// index *next and wrapping around, and leaves *next just past the hit. A
+// caller looking up labels in source order so finds each at its first probe.
+func (f *Function) blockFrom(label string, next *int) *Block {
+	n := len(f.Blocks)
+	for k := 0; k < n; k++ {
+		i := (*next + k) % n
+		if f.Blocks[i].Label == label {
+			*next = i + 1
+			return f.Blocks[i]
+		}
+	}
+	return nil
 }
 
 // Block returns the block with the given label, or nil.
@@ -213,13 +234,13 @@ func (f *Function) MainlineInstrs() int {
 // Callees returns the distinct functions this function calls, in first-call
 // order.
 func (f *Function) Callees() []string {
+	var syms []Sym
 	var out []string
-	seen := map[string]bool{}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Call != "" && !seen[in.Call] {
-				seen[in.Call] = true
-				out = append(out, in.Call)
+			if in.Call != NoSym && !slices.Contains(syms, in.Call) {
+				syms = append(syms, in.Call)
+				out = append(out, in.Call.String())
 			}
 		}
 	}

@@ -50,11 +50,11 @@ func (p *Placement) BlockSpan(label string) (addr uint64, size int, err error) {
 // or its entry block is missing from the placement. It is the error-typed
 // form of EntryAddr.
 func (p *Program) FuncEntry(name string) (uint64, error) {
-	f := p.funcs[name]
-	if f == nil {
+	s, ok := p.lookup(name)
+	if !ok {
 		return 0, &MissingBlockError{}
 	}
-	pl := p.placements[name]
+	f, pl := p.funcs[s], p.placements[s]
 	if pl == nil {
 		return 0, &MissingBlockError{Func: name}
 	}

@@ -43,11 +43,14 @@ func TestPlaceResolvesSuccessors(t *testing.T) {
 	}
 }
 
-// TestLinkDataAnnotatesStaticOperands: after linking, every named operand
-// must carry its linker-assigned address, matching DataAddr.
-func TestLinkDataAnnotatesStaticOperands(t *testing.T) {
+// TestLinkDataFillsDataTable: after linking, every named operand must
+// resolve through the program's data table to the address DataAddr
+// reports, the engine must use it for unbound operands, and symbols must be
+// laid out in name order whatever order they were interned in.
+func TestLinkDataFillsDataTable(t *testing.T) {
+	Intern("zz.linked.last") // interned before its alphabetical predecessors
 	f := NewBuilder("f", ClassPath).
-		Load("tbl", 3).Store("tbl", 1).Load("other", 1).
+		Load("zz.linked.last", 1).Load("tbl", 3).Store("tbl", 1).Load("other", 1).
 		Ret().
 		MustBuild()
 	p := NewProgram()
@@ -55,25 +58,35 @@ func TestLinkDataAnnotatesStaticOperands(t *testing.T) {
 	if err := p.Link(); err != nil {
 		t.Fatal(err)
 	}
+	e := newEngine(t, p)
 	checked := 0
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Data == "" {
+			if in.Data == NoSym {
 				continue
 			}
-			want, ok := p.DataAddr(in.Data)
+			want, ok := p.DataAddr(in.Data.String())
 			if !ok {
 				t.Fatalf("symbol %q not linked", in.Data)
 			}
-			if !in.staticOK || in.staticBase != want {
-				t.Fatalf("operand %q: annotation %v/%#x, want %#x", in.Data, in.staticOK, in.staticBase, want)
+			if got := e.dataAddr(NewBinding(), in); got != want+uint64(in.Off) {
+				t.Fatalf("operand %q+%d resolved to %#x, want %#x", in.Data, in.Off, got, want+uint64(in.Off))
 			}
 			checked++
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no named operands checked")
+	}
+	other, _ := p.DataAddr("other")
+	tbl, _ := p.DataAddr("tbl")
+	last, _ := p.DataAddr("zz.linked.last")
+	if !(other < tbl && tbl < last) {
+		t.Fatalf("data not in name order: other %#x, tbl %#x, zz.linked.last %#x", other, tbl, last)
+	}
+	if _, ok := p.DataAddr("never.referenced"); ok {
+		t.Fatal("unreferenced symbol has a data address")
 	}
 }
 
@@ -113,7 +126,7 @@ func TestLayoutFingerprintDetectsChange(t *testing.T) {
 	if fp2 := e.Program().LayoutFingerprint(); fp2 != fp {
 		t.Fatalf("identical builds disagree: %x vs %x", fp, fp2)
 	}
-	env := NewBinding(nil)
+	env := NewBinding()
 	if err := e.Run("f", env); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package code
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // DefaultTextBase is where program text starts unless a layout says
@@ -27,9 +30,11 @@ type Segment struct {
 type Placement struct {
 	Segments []Segment
 	blocks   map[string]*placedBlock
+	// placed holds the placed blocks in segment order; blocks indexes it.
+	placed []placedBlock
 	// fn is the function this placement lays out, and entry its placed
 	// entry block — resolved once at Place time so the engine's call path
-	// does a single map lookup per invocation.
+	// is one slice load per invocation.
 	fn    *Function
 	entry *placedBlock
 	end   uint64
@@ -95,38 +100,63 @@ func termStaticSize(f *Function, b *Block, fall string) int {
 }
 
 // Program is a set of functions plus their placement and static data
-// addresses: the linked image the engine executes against.
+// addresses: the linked image the engine executes against. Functions,
+// placements and data addresses are all indexed by the interned Sym of the
+// name, so the engine's call and operand paths are slice loads.
 type Program struct {
-	funcs      map[string]*Function
-	order      []string
-	placements map[string]*Placement
-	dataSyms   map[string]uint64
-	dataSizes  map[string]uint32
-	textBase   uint64
-	textEnd    uint64
+	funcs      []*Function
+	order      []Sym
+	placements []*Placement
+	// data holds the linker-assigned static storage of every data symbol
+	// the program references; a zero addr means none was assigned.
+	data     []dataSlot
+	textBase uint64
+	textEnd  uint64
+}
+
+type dataSlot struct {
+	addr uint64
+	size uint32
 }
 
 // NewProgram returns an empty program.
 func NewProgram() *Program {
-	return &Program{
-		funcs:      map[string]*Function{},
-		placements: map[string]*Placement{},
-		textBase:   DefaultTextBase,
+	return &Program{textBase: DefaultTextBase}
+}
+
+// grow extends the Sym-indexed function and placement tables to cover s.
+func (p *Program) grow(s Sym) {
+	if int(s) < len(p.funcs) {
+		return
 	}
+	n := max(int(s)+1, SymCount())
+	p.funcs = append(p.funcs, make([]*Function, n-len(p.funcs))...)
+	p.placements = append(p.placements, make([]*Placement, n-len(p.placements))...)
+}
+
+// lookup returns the Sym of a function name the program defines.
+func (p *Program) lookup(name string) (Sym, bool) {
+	s, ok := lookupSym(name)
+	if !ok || int(s) >= len(p.funcs) || p.funcs[s] == nil {
+		return NoSym, false
+	}
+	return s, true
 }
 
 // Add registers a function; the link order is the Add order unless SetOrder
 // overrides it. Adding a duplicate name is an error.
 func (p *Program) Add(fs ...*Function) error {
 	for _, f := range fs {
-		if _, dup := p.funcs[f.Name]; dup {
+		if _, dup := p.lookup(f.Name); dup {
 			return fmt.Errorf("code: duplicate function %q", f.Name)
 		}
 		if err := f.Validate(); err != nil {
 			return err
 		}
-		p.funcs[f.Name] = f
-		p.order = append(p.order, f.Name)
+		s := Intern(f.Name)
+		p.grow(s)
+		p.funcs[s] = f
+		p.order = append(p.order, s)
 	}
 	return nil
 }
@@ -139,19 +169,38 @@ func (p *Program) MustAdd(fs ...*Function) {
 }
 
 // Func returns the named function, or nil.
-func (p *Program) Func(name string) *Function { return p.funcs[name] }
+func (p *Program) Func(name string) *Function {
+	if s, ok := p.lookup(name); ok {
+		return p.funcs[s]
+	}
+	return nil
+}
+
+// FuncSym returns the function named by s, or nil.
+func (p *Program) FuncSym(s Sym) *Function {
+	if int(s) < len(p.funcs) {
+		return p.funcs[s]
+	}
+	return nil
+}
 
 // Funcs returns the functions in link order.
 func (p *Program) Funcs() []*Function {
 	out := make([]*Function, 0, len(p.order))
-	for _, n := range p.order {
-		out = append(out, p.funcs[n])
+	for _, s := range p.order {
+		out = append(out, p.funcs[s])
 	}
 	return out
 }
 
 // Names returns the link order.
-func (p *Program) Names() []string { return append([]string(nil), p.order...) }
+func (p *Program) Names() []string {
+	out := make([]string, len(p.order))
+	for i, s := range p.order {
+		out[i] = s.String()
+	}
+	return out
+}
 
 // SetOrder replaces the link order; every existing function must appear
 // exactly once.
@@ -159,27 +208,35 @@ func (p *Program) SetOrder(names []string) error {
 	if len(names) != len(p.order) {
 		return fmt.Errorf("code: SetOrder got %d names, program has %d functions", len(names), len(p.order))
 	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		if p.funcs[n] == nil {
+	order := make([]Sym, len(names))
+	for i, n := range names {
+		s, ok := p.lookup(n)
+		if !ok {
 			return fmt.Errorf("code: SetOrder: unknown function %q", n)
 		}
-		if seen[n] {
+		if slices.Contains(order[:i], s) {
 			return fmt.Errorf("code: SetOrder: duplicate function %q", n)
 		}
-		seen[n] = true
+		order[i] = s
 	}
-	p.order = append([]string(nil), names...)
+	p.order = order
 	return nil
 }
 
 // Clone deep-copies the program's functions and order. Placement and data
-// addresses are not copied; the clone must be re-linked.
+// addresses are not copied; the clone must be re-linked. The functions
+// were validated when they were added, so their copies are not validated
+// again.
 func (p *Program) Clone() *Program {
-	np := NewProgram()
-	np.textBase = p.textBase
-	for _, n := range p.order {
-		np.MustAdd(p.funcs[n].Clone(n))
+	np := &Program{
+		funcs:      make([]*Function, len(p.funcs)),
+		order:      slices.Clone(p.order),
+		placements: make([]*Placement, len(p.placements)),
+		textBase:   p.textBase,
+	}
+	for _, s := range p.order {
+		f := p.funcs[s]
+		np.funcs[s] = f.Clone(f.Name)
 	}
 	return np
 }
@@ -187,16 +244,14 @@ func (p *Program) Clone() *Program {
 // Remove deletes a function from the program (used when path-inlining
 // replaces a set of path functions with one merged function).
 func (p *Program) Remove(name string) {
-	if _, ok := p.funcs[name]; !ok {
+	s, ok := p.lookup(name)
+	if !ok {
 		return
 	}
-	delete(p.funcs, name)
-	delete(p.placements, name)
-	for i, n := range p.order {
-		if n == name {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
+	p.funcs[s] = nil
+	p.placements[s] = nil
+	if i := slices.Index(p.order, s); i >= 0 {
+		p.order = slices.Delete(p.order, i, i+1)
 	}
 }
 
@@ -204,45 +259,51 @@ func (p *Program) Remove(name string) {
 // covered exactly once across the segments, and segments must not overlap
 // other placements (overlap checking happens in Link/FinishLayout).
 func (p *Program) Place(name string, segs []Segment) error {
-	f := p.funcs[name]
-	if f == nil {
+	s, ok := p.lookup(name)
+	if !ok {
 		return fmt.Errorf("code: Place: unknown function %q", name)
 	}
-	covered := map[string]bool{}
-	for _, s := range segs {
-		for _, l := range s.Labels {
-			if f.Block(l) == nil {
-				return fmt.Errorf("code: Place %s: unknown block %q", name, l)
-			}
-			if covered[l] {
-				return fmt.Errorf("code: Place %s: block %q placed twice", name, l)
-			}
-			covered[l] = true
-		}
-	}
-	if len(covered) != len(f.Blocks) {
-		return fmt.Errorf("code: Place %s: %d of %d blocks placed", name, len(covered), len(f.Blocks))
-	}
-	pl := &Placement{Segments: segs, blocks: map[string]*placedBlock{}, fn: f}
+	return p.place(s, segs)
+}
+
+func (p *Program) place(sym Sym, segs []Segment) error {
+	f := p.funcs[sym]
+	name := f.Name
+	pl := &Placement{Segments: segs, blocks: make(map[string]*placedBlock, len(f.Blocks)), fn: f}
+	// One array holds every placed block; a label placed twice or unknown
+	// fails before it could outgrow it.
+	pl.placed = make([]placedBlock, 0, len(f.Blocks))
+	next := 0 // where to resume the label search: segments usually follow source order
 	for _, s := range segs {
 		addr := s.Addr
 		for i, l := range s.Labels {
-			b := f.Block(l)
+			b := f.blockFrom(l, &next)
+			if b == nil {
+				return fmt.Errorf("code: Place %s: unknown block %q", name, l)
+			}
+			if pl.blocks[l] != nil {
+				return fmt.Errorf("code: Place %s: block %q placed twice", name, l)
+			}
 			fall := ""
 			if i+1 < len(s.Labels) {
 				fall = s.Labels[i+1]
 			}
 			size := len(b.Instrs) + termStaticSize(f, b, fall)
-			pl.blocks[l] = &placedBlock{b: b, addr: addr, fall: fall, size: size}
+			pl.placed = append(pl.placed, placedBlock{b: b, addr: addr, fall: fall, size: size})
+			pl.blocks[l] = &pl.placed[len(pl.placed)-1]
 			addr += uint64(size * instrBytes)
 		}
 		if addr > pl.end {
 			pl.end = addr
 		}
 	}
+	if len(pl.placed) != len(f.Blocks) {
+		return fmt.Errorf("code: Place %s: %d of %d blocks placed", name, len(pl.placed), len(f.Blocks))
+	}
 	// Resolve successor labels to placed-block pointers so execution never
 	// consults the label map again.
-	for _, pb := range pl.blocks {
+	for i := range pl.placed {
+		pb := &pl.placed[i]
 		if pb.fall != "" {
 			pb.fallThrough = pl.blocks[pb.fall]
 		}
@@ -255,7 +316,7 @@ func (p *Program) Place(name string, segs []Segment) error {
 		}
 	}
 	pl.entry = pl.blocks[f.Blocks[0].Label]
-	p.placements[name] = pl
+	p.placements[sym] = pl
 	return nil
 }
 
@@ -263,19 +324,21 @@ func (p *Program) Place(name string, segs []Segment) error {
 // blocks in the given order (source order if order is nil) and returns the
 // first free address after it.
 func (p *Program) PlaceSequential(name string, addr uint64, order []string) (uint64, error) {
-	f := p.funcs[name]
-	if f == nil {
+	s, ok := p.lookup(name)
+	if !ok {
 		return 0, fmt.Errorf("code: PlaceSequential: unknown function %q", name)
 	}
+	return p.placeSequential(s, addr, order)
+}
+
+func (p *Program) placeSequential(s Sym, addr uint64, order []string) (uint64, error) {
 	if order == nil {
-		for _, b := range f.Blocks {
-			order = append(order, b.Label)
-		}
+		order = AllLabels(p.funcs[s])
 	}
-	if err := p.Place(name, []Segment{{Addr: addr, Labels: order}}); err != nil {
+	if err := p.place(s, []Segment{{Addr: addr, Labels: order}}); err != nil {
 		return 0, err
 	}
-	return p.placements[name].end, nil
+	return p.placements[s].end, nil
 }
 
 // Link places every function sequentially in link order starting at the text
@@ -284,7 +347,7 @@ func (p *Program) PlaceSequential(name string, addr uint64, order []string) (uin
 func (p *Program) Link() error {
 	addr := p.textBase
 	for _, n := range p.order {
-		end, err := p.PlaceSequential(n, addr, nil)
+		end, err := p.placeSequential(n, addr, nil)
 		if err != nil {
 			return err
 		}
@@ -299,7 +362,7 @@ func (p *Program) Link() error {
 func (p *Program) FinishLayout() error {
 	type span struct {
 		lo, hi uint64
-		name   string
+		name   Sym
 	}
 	var spans []span
 	end := p.textBase
@@ -308,7 +371,7 @@ func (p *Program) FinishLayout() error {
 		if pl == nil {
 			return fmt.Errorf("code: FinishLayout: function %q not placed", n)
 		}
-		for _, pb := range pl.blocks {
+		for _, pb := range pl.placed {
 			if pb.size == 0 {
 				continue
 			}
@@ -318,7 +381,7 @@ func (p *Program) FinishLayout() error {
 			end = pl.end
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 	for i := 1; i < len(spans); i++ {
 		if spans[i].lo < spans[i-1].hi {
 			return fmt.Errorf("code: FinishLayout: %s at %#x overlaps %s ending at %#x",
@@ -339,82 +402,70 @@ func (p *Program) SetTextBase(addr uint64) { p.textBase = addr }
 func (p *Program) TextEnd() uint64 { return p.textEnd }
 
 // Placement returns the layout of the named function, or nil.
-func (p *Program) Placement(name string) *Placement { return p.placements[name] }
+func (p *Program) Placement(name string) *Placement {
+	if s, ok := p.lookup(name); ok {
+		return p.placements[s]
+	}
+	return nil
+}
 
 // EntryAddr returns the placed address of the function's entry block.
 func (p *Program) EntryAddr(name string) (uint64, bool) {
-	f, pl := p.funcs[name], p.placements[name]
-	if f == nil || pl == nil {
+	pl := p.Placement(name)
+	if pl == nil {
 		return 0, false
 	}
-	return pl.BlockAddr(f.Blocks[0].Label)
+	return pl.entry.addr, true
 }
 
 // LinkData assigns addresses to every static data symbol referenced by any
-// instruction. Symbols are sized by the largest offset the builders emitted
-// (rounded up to a cache block) and assigned in sorted order so the data
-// layout is independent of authoring order. The "$stack" symbol is skipped:
-// it is always bound at run time to the current thread's stack.
+// instruction, filling the program's Sym-indexed data table. Symbols are
+// sized by the largest offset the builders emitted (rounded up to a cache
+// block) and assigned in name order, so the data layout is independent of
+// authoring and interning order. The "$stack" symbol is skipped: it is
+// always bound at run time to the current thread's stack.
 func (p *Program) LinkData() error {
-	sizes := map[string]uint32{}
-	for _, f := range p.funcs {
-		note := func(in Instr) {
-			if in.Data == "" || in.Data == "$stack" {
-				return
+	data := make([]dataSlot, SymCount())
+	var syms []Sym
+	note := func(instrs []Instr) {
+		for i := range instrs {
+			in := &instrs[i]
+			if in.Data == NoSym || in.Data == StackSym {
+				continue
 			}
-			if in.Off+8 > sizes[in.Data] {
-				sizes[in.Data] = in.Off + 8
+			d := &data[in.Data]
+			if d.size == 0 {
+				syms = append(syms, in.Data)
 			}
+			d.size = max(d.size, in.Off+8)
 		}
+	}
+	for _, s := range p.order {
+		f := p.funcs[s]
 		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				note(in)
-			}
+			note(b.Instrs)
 		}
-		for _, in := range f.Epilogue {
-			note(in)
-		}
+		note(f.Epilogue)
 	}
-	names := make([]string, 0, len(sizes))
-	for n := range sizes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	p.dataSyms = map[string]uint64{}
-	p.dataSizes = map[string]uint32{}
+	slices.SortFunc(syms, func(a, b Sym) int { return strings.Compare(a.String(), b.String()) })
 	addr := uint64(DefaultDataBase)
-	for _, n := range names {
-		sz := (sizes[n] + 63) &^ 63
-		p.dataSyms[n] = addr
-		p.dataSizes[n] = sz
-		addr += uint64(sz)
+	for _, s := range syms {
+		d := &data[s]
+		d.size = (d.size + 63) &^ 63
+		d.addr = addr
+		addr += uint64(d.size)
 	}
-	// Annotate every named operand with its linker-assigned fallback
-	// address so the engine's effective-address path only consults the Env
-	// (which may shadow the static symbol) and never this map.
-	for _, f := range p.funcs {
-		annotate := func(in *Instr) {
-			in.staticOK = false
-			if a, ok := p.dataSyms[in.Data]; ok {
-				in.staticBase, in.staticOK = a, true
-			}
-		}
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				annotate(&b.Instrs[i])
-			}
-		}
-		for i := range f.Epilogue {
-			annotate(&f.Epilogue[i])
-		}
-	}
+	p.data = data
 	return nil
 }
 
 // DataAddr returns the linker-assigned address of a static symbol.
 func (p *Program) DataAddr(name string) (uint64, bool) {
-	a, ok := p.dataSyms[name]
-	return a, ok
+	s, ok := lookupSym(name)
+	if !ok || int(s) >= len(p.data) || p.data[s].addr == 0 {
+		return 0, false
+	}
+	return p.data[s].addr, true
 }
 
 // LayoutFingerprint hashes everything the engine consults at run time: the
@@ -427,7 +478,7 @@ func (p *Program) DataAddr(name string) (uint64, bool) {
 func (p *Program) LayoutFingerprint() uint64 {
 	h := fnv.New64a()
 	hashInstr := func(in *Instr) {
-		fmt.Fprintf(h, "i%d,%s,%d,%s,%t,%t,%d,%t;", in.Op, in.Data, in.Off, in.Call, in.CallLoad, in.Prologue, in.staticBase, in.staticOK)
+		fmt.Fprintf(h, "i%d,%s,%d,%s,%t,%t;", in.Op, in.Data, in.Off, in.Call, in.CallLoad, in.Prologue)
 	}
 	for _, n := range p.order {
 		f := p.funcs[n]
@@ -450,13 +501,15 @@ func (p *Program) LayoutFingerprint() uint64 {
 			}
 		}
 	}
-	syms := make([]string, 0, len(p.dataSyms))
-	for n := range p.dataSyms {
-		syms = append(syms, n)
+	var syms []Sym
+	for s, d := range p.data {
+		if d.addr != 0 {
+			syms = append(syms, Sym(s))
+		}
 	}
-	sort.Strings(syms)
-	for _, n := range syms {
-		fmt.Fprintf(h, "d%s,%d,%d;", n, p.dataSyms[n], p.dataSizes[n])
+	slices.SortFunc(syms, func(a, b Sym) int { return strings.Compare(a.String(), b.String()) })
+	for _, s := range syms {
+		fmt.Fprintf(h, "d%s,%d,%d;", s, p.data[s].addr, p.data[s].size)
 	}
 	fmt.Fprintf(h, "t%d,%d", p.textBase, p.textEnd)
 	return h.Sum64()
@@ -496,7 +549,7 @@ func (p *Program) TextMap() []TextSpan {
 			spans = append(spans, TextSpan{
 				Start: pb.addr,
 				End:   pb.addr + uint64(pb.size*instrBytes),
-				Func:  n,
+				Func:  f.Name,
 				Class: f.Class,
 				Kind:  b.Kind,
 			})
@@ -509,8 +562,8 @@ func (p *Program) TextMap() []TextSpan {
 // StaticInstrs sums the body instruction counts of all functions.
 func (p *Program) StaticInstrs() int {
 	n := 0
-	for _, f := range p.funcs {
-		n += f.StaticInstrs()
+	for _, s := range p.order {
+		n += p.funcs[s].StaticInstrs()
 	}
 	return n
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/faults"
 	"repro/internal/protocols/recovery"
+	"repro/internal/sim/mem"
 )
 
 // recoveryCellFor picks the (policy, rate) cell out of a comparison.
@@ -105,5 +108,49 @@ func TestRunRoundtripsMatchesSampleLatency(t *testing.T) {
 	te := float64(sum) / float64(cfg.Measured) / m.CyclesPerMicrosecond()
 	if got := res.Samples[0].TeUS; got != te {
 		t.Errorf("mean of roundtrips %.6f us != sample TeUS %.6f us", te, got)
+	}
+}
+
+// TestRoundtripDriversReleaseHierarchies: RunRoundtrips and the fault
+// study's sample driver take their two cache hierarchies from the reuse
+// pool and must hand them back, as runSample does. A driver that kept them
+// would allocate two fresh hierarchies per call, the bulk of a fault
+// study's or soak's garbage. The ceiling is one and a half hierarchies per
+// call rather than one because the race detector makes sync.Pool drop a
+// quarter of what it is handed.
+func TestRoundtripDriversReleaseHierarchies(t *testing.T) {
+	m := arch.DEC3000_600()
+	perCall := func(f func()) uint64 {
+		f()
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		const n = 8
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&b)
+		return (b.TotalAlloc - a.TotalAlloc) / n
+	}
+	hierarchy := perCall(func() { mem.New(m) })
+	cfg := DefaultConfig(StackTCPIP, ALL)
+	cfg.Warmup, cfg.Measured, cfg.Samples = 3, 8, 1
+	cfg.Faults = &faults.Plan{Seed: 3, LossProb: 0.05}
+	drivers := map[string]func() error{
+		"RunRoundtrips":  func() error { _, _, err := RunRoundtrips(cfg, 0); return err },
+		"runFaultSample": func() error { _, err := runFaultSample(cfg, 0); return err },
+	}
+	for _, name := range []string{"RunRoundtrips", "runFaultSample"} {
+		var err error
+		got := perCall(func() {
+			if e := drivers[name](); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got >= 3*hierarchy/2 {
+			t.Errorf("%s allocates %d bytes per call, one hierarchy is %d: hierarchies not returned to the pool", name, got, hierarchy)
+		}
 	}
 }

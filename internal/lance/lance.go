@@ -124,12 +124,18 @@ func (d *Device) rxBufOff(slot int) int {
 // Region exposes the sparse window (for tests).
 func (d *Device) Region() *turbochannel.Region { return d.region }
 
+// Data objects the driver model binds, interned once.
+var (
+	symRing = code.Intern("lance.ring")
+	symBuf  = code.Intern("lance.buf")
+)
+
 // bindConds provides the driver model conditions for the current event.
 func (d *Device) bindConds(env *code.Binding) {
 	env.SetFunc("lance.rxcopy.more", code.Counter(func() int { return (d.lastRxLen + 7) / 8 }))
 	env.SetFunc("lance.txcopy.more", code.Counter(func() int { return (d.lastTxLen + 7) / 8 }))
-	env.Bind("lance.ring", d.region.WordAddr(0))
-	env.Bind("lance.buf", d.region.BufAddr(d.txBufOff(0)))
+	env.Bind(symRing, d.region.WordAddr(0))
+	env.Bind(symBuf, d.region.BufAddr(d.txBufOff(0)))
 }
 
 // Transmit sends a frame: the traced driver path writes the frame into the

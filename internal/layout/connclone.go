@@ -133,15 +133,15 @@ func connectionSpecialize(f *code.Function, conn int, s Spec, cloneName func(int
 				droppedPrologue = true
 				continue
 			}
-			if in.Call != "" && pathSet[in.Call] {
+			if in.Call != code.NoSym && pathSet[in.Call.String()] {
 				if in.CallLoad {
 					continue // PC-relative within the clone set
 				}
-				in.Call = cloneName(conn, in.Call)
+				in.Call = code.Intern(cloneName(conn, in.Call.String()))
 			}
 			// Partial evaluation: every fourth load of connection
 			// state disappears into the code.
-			if in.Op.AccessesMemory() && in.Call == "" && isConnState(in.Data) {
+			if in.Op.AccessesMemory() && in.Call == code.NoSym && isConnState(in.Data.String()) {
 				constLoads++
 				if constLoads%4 == 0 {
 					continue

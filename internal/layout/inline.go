@@ -24,12 +24,12 @@ func PathInline(p *code.Program, root string, inlinable []string) (*code.Program
 	if f == nil {
 		return nil, fmt.Errorf("layout: PathInline: unknown root %q", root)
 	}
-	inSet := map[string]bool{}
+	inSet := map[code.Sym]bool{}
 	for _, n := range inlinable {
 		if q.Func(n) == nil {
 			return nil, fmt.Errorf("layout: PathInline: unknown inlinable function %q", n)
 		}
-		inSet[n] = true
+		inSet[code.Intern(n)] = true
 	}
 	ix := &inliner{prog: q, inSet: inSet}
 	blocks, err := ix.expand(f, "", 0)
@@ -45,7 +45,7 @@ func PathInline(p *code.Program, root string, inlinable []string) (*code.Program
 
 type inliner struct {
 	prog     *code.Program
-	inSet    map[string]bool
+	inSet    map[code.Sym]bool
 	instance int
 }
 
@@ -77,13 +77,13 @@ func (ix *inliner) expand(f *code.Function, prefix string, depth int) ([]*code.B
 			if prefix != "" && in.Prologue {
 				continue
 			}
-			if in.Call != "" && ix.inSet[in.Call] {
+			if in.Call != code.NoSym && ix.inSet[in.Call] {
 				if in.CallLoad {
 					// Address load of an inlined call: gone.
 					continue
 				}
 				// The jsr itself: splice the callee here.
-				callee := ix.prog.Func(in.Call)
+				callee := ix.prog.FuncSym(in.Call)
 				ix.instance++
 				calleePrefix := fmt.Sprintf("%s%s$%d$", prefix, in.Call, ix.instance)
 				inlined, err := ix.expand(callee, calleePrefix, depth+1)

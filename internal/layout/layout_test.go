@@ -45,8 +45,8 @@ func stackSpec(layers int) Spec {
 	return s
 }
 
-func stackEnv(layers int) code.Env {
-	env := code.NewBinding(nil)
+func stackEnv(layers int) *code.Binding {
+	env := code.NewBinding()
 	for i := 0; i < layers; i++ {
 		env.PushCount("lib.more", 4)
 	}

@@ -24,7 +24,7 @@ func linkLibrary(t *testing.T, improvedRefresh bool) (*code.Program, *code.Engin
 
 func TestAllLibraryFunctionsExecutable(t *testing.T) {
 	p, e := linkLibrary(t, true)
-	env := code.NewBinding(nil)
+	env := code.NewBinding()
 	env.Set("map.found", true)
 	env.Set("msg.lastref", true)
 	for _, f := range p.Funcs() {
@@ -57,7 +57,7 @@ func TestAllLibraryClassIsLibrary(t *testing.T) {
 func TestRefreshVariantsDiffer(t *testing.T) {
 	run := func(improved bool) uint64 {
 		_, e := linkLibrary(t, improved)
-		env := code.NewBinding(nil)
+		env := code.NewBinding()
 		env.Set("msg.lastref", true)
 		env.Set("pool.shared", false)
 		before := e.CPU().Metrics().Instructions
@@ -81,7 +81,7 @@ func TestRefreshVariantsDiffer(t *testing.T) {
 func TestDivremCounted(t *testing.T) {
 	_, e := linkLibrary(t, true)
 	run := func(iters int) uint64 {
-		env := code.NewBinding(nil).PushCount("div.more", iters)
+		env := code.NewBinding().PushCount("div.more", iters)
 		before := e.CPU().Metrics().Instructions
 		if err := e.Run("divrem", env); err != nil {
 			t.Fatal(err)

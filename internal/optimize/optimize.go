@@ -165,10 +165,39 @@ func RunCtx(ctx context.Context, cfg Config) ([]MachineResult, error) {
 	if cfg.Quality == (core.Quality{}) {
 		cfg.Quality = core.Quality{Warmup: 4, Measured: 12, Samples: 1}
 	}
+	in, err := prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]MachineResult, 0, len(cfg.Models))
+	for i, model := range cfg.Models {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := searchMachine(ctx, cfg, i, model, in)
+		if err != nil {
+			return nil, fmt.Errorf("optimize: %s: %w", model.Name, err)
+		}
+		results = append(results, *r)
+	}
+	return results, nil
+}
+
+// searchInput is what every machine's search shares: the specialized
+// reference image, the spec it lays out, and the cost weights.
+type searchInput struct {
+	ref     *code.Program
+	spec    layout.Spec
+	weights map[string]float64
+	feat    features.Set
+}
+
+// prepare builds the search input for cfg's stack.
+func prepare(cfg Config) (searchInput, error) {
 	feat := features.Improved()
 	material, spec, usage, err := core.OptimizeMaterial(cfg.Stack, feat)
 	if err != nil {
-		return nil, fmt.Errorf("optimize: material: %w", err)
+		return searchInput{}, fmt.Errorf("optimize: material: %w", err)
 	}
 	// One specialization up front: the reference image every candidate is
 	// cloned from and proved move-only equivalent to.
@@ -181,18 +210,7 @@ func RunCtx(ctx context.Context, cfg Config) ([]MachineResult, error) {
 			weights[n] = float64(c)
 		}
 	}
-	results := make([]MachineResult, 0, len(cfg.Models))
-	for i, model := range cfg.Models {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r, err := searchMachine(ctx, cfg, i, model, ref, spec, weights, feat)
-		if err != nil {
-			return nil, fmt.Errorf("optimize: %s: %w", model.Name, err)
-		}
-		results = append(results, *r)
-	}
-	return results, nil
+	return searchInput{ref: ref, spec: spec, weights: weights, feat: feat}, nil
 }
 
 // searcher bundles the per-machine search state.
@@ -203,7 +221,6 @@ type searcher struct {
 	spec     layout.Spec
 	costSpec verify.CostSpec
 	feat     features.Set
-	names    []string
 
 	examined, rejWF, rejEq int
 }
@@ -218,22 +235,24 @@ type scored struct {
 	key      string
 }
 
-func searchMachine(ctx context.Context, cfg Config, machineIdx int, model machines.Model,
-	ref *code.Program, spec layout.Spec, weights map[string]float64, feat features.Set) (*MachineResult, error) {
-	s := &searcher{
+// newSearcher returns the search state of one machine.
+func newSearcher(cfg Config, model machines.Model, in searchInput) *searcher {
+	return &searcher{
 		cfg:   cfg,
 		model: model,
-		ref:   ref,
-		spec:  spec,
-		feat:  feat,
+		ref:   in.ref,
+		spec:  in.spec,
+		feat:  in.feat,
 		costSpec: verify.CostSpec{
-			PathSpec:    verify.PathSpec{Path: spec.Path, Library: spec.Library},
-			FuncWeights: weights,
+			PathSpec:    verify.PathSpec{Path: in.spec.Path, Library: in.spec.Library},
+			FuncWeights: in.weights,
 		},
-		names: append(append([]string(nil), spec.Path...), spec.Library...),
 	}
+}
 
-	order0 := greedyOrder(ref, spec, weights)
+func searchMachine(ctx context.Context, cfg Config, machineIdx int, model machines.Model, in searchInput) (*MachineResult, error) {
+	s := newSearcher(cfg, model, in)
+	order0 := greedyOrder(in.ref, in.spec, in.weights)
 	pads0 := make([]int, len(order0))
 	cur, ok := s.eval(order0, pads0)
 	if !ok {
@@ -523,10 +542,12 @@ func greedyOrder(ref *code.Program, spec layout.Spec, weights map[string]float64
 				continue
 			}
 			for _, in := range b.Instrs {
-				if in.Call == "" || in.CallLoad || in.Call == n || !inSet[in.Call] {
+				if in.Call == code.NoSym || in.CallLoad {
 					continue
 				}
-				acc[[2]string{n, in.Call}] += wOf(n)
+				if callee := in.Call.String(); callee != n && inSet[callee] {
+					acc[[2]string{n, callee}] += wOf(n)
+				}
 			}
 		}
 	}

@@ -2,8 +2,10 @@ package optimize
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
+	"repro/internal/code"
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/obs"
@@ -117,4 +119,74 @@ func TestWeightsFromProfile(t *testing.T) {
 	if len(WeightsFromProfile(nil)) != 0 {
 		t.Fatal("nil profile produced weights")
 	}
+}
+
+// TestEvalAllocations pins the allocations of scoring one candidate on
+// dec3000: the reference clone, placement, data link, both proofs and the
+// cost engine. It is the search's counterpart to the engine's alloc-free
+// step loop: allocation counts are deterministic, so a change that brings
+// back per-instruction copies, per-block maps or string-keyed tables shows
+// here as a count, not as timing noise.
+func TestEvalAllocations(t *testing.T) {
+	s, order, pads := dec3000Searcher(t)
+	if _, ok := s.eval(order, pads); !ok {
+		t.Fatal("greedy order rejected")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, ok := s.eval(order, pads); !ok {
+			t.Fatal("greedy order rejected")
+		}
+	})
+	const ceiling = 1005
+	if allocs > ceiling {
+		t.Fatalf("one candidate evaluation allocates %.0f objects, ceiling %d", allocs, ceiling)
+	}
+}
+
+// dec3000Searcher returns the searcher of a dec3000 search and its greedy
+// seed candidate.
+func dec3000Searcher(t *testing.T) (*searcher, []string, []int) {
+	t.Helper()
+	cfg := quickConfig(t, "dec3000")
+	in, err := prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := greedyOrder(in.ref, in.spec, in.weights)
+	return newSearcher(cfg, cfg.Models[0], in), order, make([]int, len(order))
+}
+
+// TestInstrStaysSmallAndPointerFree guards the layout that makes cloning a
+// candidate a plain memory copy: code.Instr must stay within 16 bytes and
+// hold no field the garbage collector has to scan.
+func TestInstrStaysSmallAndPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(code.Instr{})
+	if typ.Size() > 16 {
+		t.Fatalf("code.Instr is %d bytes, want at most 16", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); !pointerFree(f.Type) {
+			t.Errorf("code.Instr.%s (%s) holds a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// pointerFree reports whether values of t contain no pointers.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }

@@ -150,7 +150,7 @@ func Measure(bidirectional bool) (Counts, error) {
 	c := cpu.New(h)
 	e := code.NewEngine(c, prog)
 
-	env := code.NewBinding(nil)
+	env := code.NewBinding()
 	env.Set("bsd.hdrpred", !bidirectional)
 	env.Set("bsd.ackadv", bidirectional) // sender housekeeping only with data both ways
 

@@ -70,12 +70,19 @@ func Connect(a, b *Stack) {
 	b.VNet.AddRoute(a.Addr, b.Eth, a.Dev.MAC)
 }
 
+// Data objects the RPC models bind, interned once.
+var (
+	symChanState  = code.Intern("chan.state")
+	symBlastState = code.Intern("blast.state")
+	symXRPCState  = code.Intern("xrpc.state")
+)
+
 // bindConds registers model conditions for the current event.
 func (s *Stack) bindConds(env *code.Binding) {
 	frame := s.Host.CurrentFrame
-	env.Bind("chan.state", xkernel.HeapBase+0x9000)
-	env.Bind("blast.state", xkernel.HeapBase+0x9400)
-	env.Bind("xrpc.state", xkernel.HeapBase+0x9800)
+	env.Bind(symChanState, xkernel.HeapBase+0x9000)
+	env.Bind(symBlastState, xkernel.HeapBase+0x9400)
+	env.Bind(symXRPCState, xkernel.HeapBase+0x9800)
 
 	env.SetFunc("rpc.respond", func() bool { return !s.Test.IsServer && s.Test.WillRespond() })
 	env.Set("rpc.isserver", s.Test.IsServer)

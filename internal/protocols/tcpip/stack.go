@@ -129,6 +129,12 @@ func (s *Stack) classifyFrame(frame []byte) frameVerdict {
 	return v
 }
 
+// Data objects the TCP/IP models bind, interned once.
+var (
+	symTCB       = code.Intern("tcp.tcb")
+	symTestState = code.Intern("test.state")
+)
+
 // bindConds registers the model conditions for the current event: branch
 // outcomes as closures over live protocol state, loop trip counts queued in
 // path-execution order. For a clean frame the bindings are exactly the
@@ -148,8 +154,8 @@ func (s *Stack) bindConds(env *code.Binding) {
 	}
 
 	// Data object addresses: connection state and the current segment.
-	env.Bind("tcp.tcb", s.tcbAddr())
-	env.Bind("test.state", xkernel.HeapBase+0x8000)
+	env.Bind(symTCB, s.tcbAddr())
+	env.Bind(symTestState, xkernel.HeapBase+0x8000)
 
 	// Branch conditions over live state.
 	env.SetFunc("tcp.cwnd_open", func() bool {

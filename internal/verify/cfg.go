@@ -4,50 +4,55 @@ import (
 	"repro/internal/code"
 )
 
-// CFG is one function's control-flow graph: the labels each block can
-// transfer to. Edges follow terminators only; calls are interprocedural
-// and live in the CallGraph.
-type CFG struct {
-	// Fn is the function the graph describes.
-	Fn *code.Function
-	// Succs maps a block label to its successor labels (Then before Else).
-	Succs map[string][]string
-}
-
-// FuncCFG builds the control-flow graph of f.
-func FuncCFG(f *code.Function) *CFG {
-	g := &CFG{Fn: f, Succs: make(map[string][]string, len(f.Blocks))}
-	for _, b := range f.Blocks {
-		var succ []string
-		switch b.Term.Kind {
-		case code.TermJump:
-			succ = []string{b.Term.Then}
-		case code.TermCond:
-			succ = []string{b.Term.Then, b.Term.Else}
-		}
-		g.Succs[b.Label] = succ
-	}
-	return g
-}
-
-// Reachable returns the set of labels reachable from the entry block by
-// following terminator edges. Unknown successor labels (dangling targets)
-// are ignored here; the well-formedness pass reports them separately.
-func (g *CFG) Reachable() map[string]bool {
+// Reachable returns the set of labels of f reachable from its entry block
+// by following terminator edges (calls are interprocedural and live in
+// the CallGraph). Unknown successor labels (dangling targets) are ignored
+// here; the well-formedness pass reports them separately.
+func Reachable(f *code.Function) map[string]bool {
 	reach := map[string]bool{}
-	if len(g.Fn.Blocks) == 0 {
+	for i, ok := range reachable(f, labelIndex(f)) {
+		if ok {
+			reach[f.Blocks[i].Label] = true
+		}
+	}
+	return reach
+}
+
+// labelIndex maps each block label of f to its index (the last one, for a
+// duplicated label).
+func labelIndex(f *code.Function) map[string]int {
+	idx := make(map[string]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		idx[b.Label] = i
+	}
+	return idx
+}
+
+// reachable marks, by block index, the blocks of f reachable from its
+// entry by terminator edges; index maps labels to block indices, and
+// targets it does not know are ignored.
+func reachable(f *code.Function, index map[string]int) []bool {
+	reach := make([]bool, len(f.Blocks))
+	if len(f.Blocks) == 0 {
 		return reach
 	}
-	work := []string{g.Fn.Blocks[0].Label}
-	reach[work[0]] = true
+	reach[0] = true
+	work := []int{0}
+	visit := func(label string) {
+		if i, ok := index[label]; ok && !reach[i] {
+			reach[i] = true
+			work = append(work, i)
+		}
+	}
 	for len(work) > 0 {
-		l := work[len(work)-1]
+		b := f.Blocks[work[len(work)-1]]
 		work = work[:len(work)-1]
-		for _, s := range g.Succs[l] {
-			if _, known := g.Succs[s]; known && !reach[s] {
-				reach[s] = true
-				work = append(work, s)
-			}
+		switch b.Term.Kind {
+		case code.TermJump:
+			visit(b.Term.Then)
+		case code.TermCond:
+			visit(b.Term.Then)
+			visit(b.Term.Else)
 		}
 	}
 	return reach
@@ -77,25 +82,32 @@ func ProgramCallGraph(p *code.Program) *CallGraph {
 // Detection order is deterministic: functions are tried in link order and
 // callees in first-call order.
 func (g *CallGraph) Cycle() []string {
+	return findCycle(g.order, func(n string) []string { return g.Callees[n] })
+}
+
+// findCycle is the depth-first cycle search behind CallGraph.Cycle, over
+// any node type: nodes are tried in order and successors in the order
+// callees returns them.
+func findCycle[N comparable](order []N, callees func(N) []N) []N {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	color := map[string]int{}
-	var path []string
-	var found []string
-	var dfs func(n string) bool
-	dfs = func(n string) bool {
+	color := map[N]int{}
+	var path []N
+	var found []N
+	var dfs func(n N) bool
+	dfs = func(n N) bool {
 		color[n] = grey
 		path = append(path, n)
-		for _, c := range g.Callees[n] {
+		for _, c := range callees(n) {
 			switch color[c] {
 			case grey:
 				// Slice the cycle out of the current path.
 				for i, x := range path {
 					if x == c {
-						found = append(append([]string(nil), path[i:]...), c)
+						found = append(append([]N(nil), path[i:]...), c)
 						return true
 					}
 				}
@@ -109,7 +121,7 @@ func (g *CallGraph) Cycle() []string {
 		color[n] = black
 		return false
 	}
-	for _, n := range g.order {
+	for _, n := range order {
 		if color[n] == white && dfs(n) {
 			return found
 		}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -84,7 +85,7 @@ type CostReport struct {
 // frequency.
 type costRef struct {
 	blk uint64
-	fn  string
+	fn  int32
 	w   float64
 }
 
@@ -104,10 +105,7 @@ const maxLoopDepth = 3
 // loop. The heuristic is exact for the builder's reducible counted loops
 // and conservative for anything wilder.
 func loopDepths(f *code.Function) []int {
-	idx := make(map[string]int, len(f.Blocks))
-	for i, b := range f.Blocks {
-		idx[b.Label] = i
-	}
+	idx := labelIndex(f)
 	// Widest range per head, so parallel latches of one loop do not stack.
 	latch := map[int]int{}
 	back := func(from int, label string) {
@@ -173,9 +171,9 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 		return 1
 	}
 
-	inLibrary := make(map[string]bool, len(spec.Library))
+	inLibrary := make(map[code.Sym]bool, len(spec.Library))
 	for _, n := range spec.Library {
-		inLibrary[n] = true
+		inLibrary[code.Intern(n)] = true
 	}
 
 	// Expand the static reference sequence. Hot blocks only: the engine
@@ -188,45 +186,68 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 	// return-site refetch is the reference an aliasing layout turns into a
 	// replacement miss.
 	var refs []costRef
+	// funcs holds each function the expansion reaches, in first-reach
+	// order; a costRef names its function by index into it. A library
+	// helper is expanded at every call site, so its placement lookup and
+	// loop-depth estimate are computed once per Cost call.
+	type expFunc struct {
+		name   string
+		f      *code.Function
+		pl     *code.Placement
+		depths []int
+	}
+	var funcs []expFunc
+	funcIdx := map[string]int32{}
 	var expand func(name string, depth int, callerW float64) error
 	expand = func(name string, depth int, callerW float64) error {
 		if depth > maxLintDepth {
 			return errf(ReasonRecursion, name, "", "library expansion exceeds depth %d", maxLintDepth)
 		}
-		f := p.Func(name)
-		if f == nil {
-			return errf(ReasonUnresolvedCall, name, "", "path spec names unknown function")
+		id, ok := funcIdx[name]
+		if !ok {
+			f := p.Func(name)
+			if f == nil {
+				return errf(ReasonUnresolvedCall, name, "", "path spec names unknown function")
+			}
+			pl := p.Placement(name)
+			if pl == nil {
+				return errf(ReasonUnplacedFunc, name, "", "path function has no placement")
+			}
+			id = int32(len(funcs))
+			funcIdx[name] = id
+			funcs = append(funcs, expFunc{name: name, f: f, pl: pl, depths: loopDepths(f)})
 		}
-		pl := p.Placement(name)
-		if pl == nil {
-			return errf(ReasonUnplacedFunc, name, "", "path function has no placement")
-		}
-		depths := loopDepths(f)
+		ef := funcs[id]
 		base := callerW * fnWeight(name)
-		for i, b := range f.Blocks {
+		for i, b := range ef.f.Blocks {
 			if b.Kind.Outlinable() {
 				continue
 			}
 			w := base
-			for d := 0; d < depths[i]; d++ {
+			for d := 0; d < ef.depths[i]; d++ {
 				w *= loopW
 			}
-			addr, size, err := pl.BlockSpan(b.Label)
+			addr, size, err := ef.pl.BlockSpan(b.Label)
 			if err != nil {
 				return err
 			}
-			span := g.SpanBlocks(addr, addr+uint64(size)*ib)
+			// The cache blocks [first, first+n) the placed block spans.
+			var first, n uint64
+			if size > 0 {
+				first = g.BlockNumber(addr)
+				n = g.BlockNumber(addr+uint64(size)*ib-1) - first + 1
+			}
 			emit := func() {
-				for _, bn := range span {
-					refs = append(refs, costRef{blk: bn, fn: name, w: w})
+				for bn := first; bn < first+n; bn++ {
+					refs = append(refs, costRef{blk: bn, fn: id, w: w})
 				}
 			}
 			emit()
 			for _, in := range b.Instrs {
-				if in.Call == "" || in.CallLoad || !inLibrary[in.Call] {
+				if in.Call == code.NoSym || in.CallLoad || !inLibrary[in.Call] {
 					continue
 				}
-				if err := expand(in.Call, depth+1, w); err != nil {
+				if err := expand(in.Call.String(), depth+1, w); err != nil {
 					return err
 				}
 				emit()
@@ -242,21 +263,25 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 
 	rep := &CostReport{}
 
-	// Distinct footprint and per-set occupancy.
-	distinct := map[uint64]bool{}
-	setBlocks := map[int]map[uint64]bool{}
-	setFuncs := map[int]map[string]bool{}
-	for _, r := range refs {
-		distinct[r.blk] = true
-		s := int(r.blk & g.setMask)
-		if setBlocks[s] == nil {
-			setBlocks[s] = map[uint64]bool{}
-			setFuncs[s] = map[string]bool{}
+	// Number the distinct path blocks densely in first-reference order, so
+	// every per-block and per-set table below is a slice.
+	blockIdx := make(map[uint64]int32, len(refs)/2)
+	refBlock := make([]int32, len(refs))
+	setBlockCount := make([]int, g.Sets)
+	setFuncs := make([][]int32, g.Sets) // functions sharing each set, first-reference order
+	for k, r := range refs {
+		bi, ok := blockIdx[r.blk]
+		if !ok {
+			bi = int32(len(blockIdx))
+			blockIdx[r.blk] = bi
+			setBlockCount[r.blk&g.setMask]++
 		}
-		setBlocks[s][r.blk] = true
-		setFuncs[s][r.fn] = true
+		refBlock[k] = bi
+		if s := r.blk & g.setMask; !slices.Contains(setFuncs[s], r.fn) {
+			setFuncs[s] = append(setFuncs[s], r.fn)
+		}
 	}
-	rep.PathBlocks = len(distinct)
+	rep.PathBlocks = len(blockIdx)
 
 	// The victim buffer absorbs part of a replacement miss's latency: a
 	// refetch that hits the buffer costs VictimHitCycles instead of the
@@ -291,16 +316,18 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 	// miss on a block is its cold fetch, a later miss on the same block is
 	// a replacement miss — the block was evicted by a conflicting one and
 	// had to be fetched again. Eviction records the evictor's function so a
-	// later refetch can name the conflict pair it pays for.
-	ways := make(map[int][]uint64, len(setBlocks))
-	seen := map[uint64]bool{}
-	replBySet := map[int]int{}
-	evictedBy := map[uint64]string{}
-	funcAgg := map[string]*FuncCost{}
-	pairAgg := map[[2]string]*PairCost{}
-	for _, r := range refs {
+	// later refetch can name the conflict pair it pays for. The ways of
+	// set s are ways[s*Assoc : s*Assoc+wayLen[s]].
+	ways := make([]uint64, g.Sets*g.Assoc)
+	wayLen := make([]int, g.Sets)
+	seen := make([]bool, len(blockIdx))
+	evictedBy := make([]int32, len(blockIdx)) // evictor's function + 1; 0 = never evicted
+	replBySet := make([]int, g.Sets)
+	funcAgg := map[int32]*FuncCost{}
+	pairAgg := map[[2]int32]*PairCost{}
+	for k, r := range refs {
 		s := int(r.blk & g.setMask)
-		w := ways[s]
+		w := ways[s*g.Assoc : s*g.Assoc+wayLen[s]]
 		hit := -1
 		for i, bn := range w {
 			if bn == r.blk {
@@ -313,7 +340,8 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 			w[0] = r.blk
 			continue
 		}
-		if seen[r.blk] {
+		bi := refBlock[k]
+		if seen[bi] {
 			rep.PredictedRepl++
 			replBySet[s]++
 			cost := r.w
@@ -324,40 +352,40 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 			rep.Total += cost
 			fc := funcAgg[r.fn]
 			if fc == nil {
-				fc = &FuncCost{Func: r.fn}
+				fc = &FuncCost{Func: funcs[r.fn].name}
 				funcAgg[r.fn] = fc
 			}
 			fc.ReplMisses++
 			fc.Cost += cost
-			if ev, ok := evictedBy[r.blk]; ok {
-				key := [2]string{r.fn, ev}
+			if ev := evictedBy[bi]; ev != 0 {
+				key := [2]int32{r.fn, ev - 1}
 				pc := pairAgg[key]
 				if pc == nil {
-					pc = &PairCost{Victim: r.fn, Evictor: ev}
+					pc = &PairCost{Victim: funcs[r.fn].name, Evictor: funcs[ev-1].name}
 					pairAgg[key] = pc
 				}
 				pc.ReplMisses++
 				pc.Cost += cost
 			}
 		}
-		seen[r.blk] = true
+		seen[bi] = true
 		if len(w) < g.Assoc {
-			w = append(w, 0)
+			wayLen[s]++
+			w = w[:len(w)+1]
 		} else {
 			victim := w[len(w)-1]
-			evictedBy[victim] = r.fn
+			evictedBy[blockIdx[victim]] = r.fn + 1
 			victimPush(victim)
 		}
 		copy(w[1:], w)
 		w[0] = r.blk
-		ways[s] = w
 	}
 
 	// Partition violations: a set holding hot code of both classes.
 	for _, fns := range setFuncs {
 		var hasPath, hasLib bool
-		for fn := range fns {
-			if p.Func(fn).Class == code.ClassLibrary {
+		for _, fn := range fns {
+			if funcs[fn].f.Class == code.ClassLibrary {
 				hasLib = true
 			} else {
 				hasPath = true
@@ -409,14 +437,17 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 
 	// Conflict list, worst set first.
 	for s, n := range replBySet {
-		var fns []string
-		for fn := range setFuncs[s] {
-			fns = append(fns, fn)
+		if n == 0 {
+			continue
+		}
+		fns := make([]string, len(setFuncs[s]))
+		for i, fn := range setFuncs[s] {
+			fns[i] = funcs[fn].name
 		}
 		sort.Strings(fns)
 		rep.Conflicts = append(rep.Conflicts, SetConflict{
 			Set:        s,
-			Blocks:     len(setBlocks[s]),
+			Blocks:     setBlockCount[s],
 			ReplMisses: n,
 			Funcs:      fns,
 		})

@@ -2,31 +2,16 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/code"
 )
 
-// sameInstr compares the semantic fields of two instructions. The
-// linker-private static-address annotations are deliberately excluded:
-// they differ between an unlinked transform input and a linked output
-// without changing what the instruction does.
-func sameInstr(a, b code.Instr) bool {
-	return a.Op == b.Op && a.Data == b.Data && a.Off == b.Off &&
-		a.Call == b.Call && a.CallLoad == b.CallLoad && a.Prologue == b.Prologue
-}
-
-func sameInstrs(a, b []code.Instr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !sameInstr(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
+// sameInstrs reports whether two instruction sequences are identical. An
+// Instr holds only what the instruction does (names are interned Syms and
+// linking writes nothing into it), so identity is plain value equality.
+func sameInstrs(a, b []code.Instr) bool { return slices.Equal(a, b) }
 
 // checkFuncSets verifies both programs define exactly the same functions.
 func checkFuncSets(before, after *code.Program) error {
@@ -172,14 +157,14 @@ func checkSpecializedBlock(fn string, before, after *code.Block, spec map[string
 	i := 0
 	droppedPrologue := false
 	for _, in := range before.Instrs {
-		if i < len(after.Instrs) && sameInstr(in, after.Instrs[i]) {
+		if i < len(after.Instrs) && in == after.Instrs[i] {
 			i++
 			continue
 		}
 		switch {
 		case in.Prologue && !droppedPrologue:
 			droppedPrologue = true
-		case in.CallLoad && spec[in.Call]:
+		case in.CallLoad && spec[in.Call.String()]:
 		default:
 			return errf(ReasonIllegalDrop, fn, before.Label,
 				"instruction %v (%s) dropped without a specialization license", in.Op, in.Data)
@@ -329,12 +314,12 @@ func (bs *bisim) stepA(st []inlFrame) (event, [][]inlFrame, error) {
 				top.idx++
 				continue
 			}
-			if in.Call != "" && bs.inSet[in.Call] {
+			if in.Call != code.NoSym && bs.inSet[in.Call.String()] {
 				top.idx++
 				if in.CallLoad {
 					continue
 				}
-				callee := bs.before.Func(in.Call)
+				callee := bs.before.FuncSym(in.Call)
 				st = append(st, inlFrame{fn: callee, blk: callee.Blocks[0]})
 				continue
 			}
@@ -439,7 +424,7 @@ func (bs *bisim) visit(aSt []inlFrame, bFr inlFrame) error {
 		return err
 	}
 	if evA.kind != evB.kind ||
-		(evA.kind == 'i' && !sameInstr(evA.in, evB.in)) ||
+		(evA.kind == 'i' && evA.in != evB.in) ||
 		(evA.kind == 'c' && evA.cond != evB.cond) {
 		return errf(ReasonPathDivergence, bFr.fn.Name, bFr.blk.Label,
 			"original path observes [%v], inlined path observes [%v]", evA, evB)

@@ -138,7 +138,7 @@ func TestCheckCloneRejectsSabotage(t *testing.T) {
 		// Drop a plain body instruction — not a prologue slot, not a
 		// call-address load.
 		for i, in := range b.Instrs {
-			if !in.Prologue && !in.CallLoad && in.Call == "" {
+			if !in.Prologue && !in.CallLoad && in.Call == code.NoSym {
 				b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
 				break
 			}

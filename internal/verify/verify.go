@@ -30,8 +30,10 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/code"
@@ -161,27 +163,28 @@ func checkFunc(f *code.Function) error {
 	if len(f.Blocks) == 0 {
 		return errf(ReasonNoBlocks, f.Name, "", "function has no blocks")
 	}
-	labels := map[string]bool{}
-	for _, b := range f.Blocks {
-		if labels[b.Label] {
+	labels := make(map[string]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		if _, dup := labels[b.Label]; dup {
 			return errf(ReasonDuplicateLabel, f.Name, b.Label, "label defined twice")
 		}
-		labels[b.Label] = true
+		labels[b.Label] = i
 	}
+	known := func(l string) bool { _, ok := labels[l]; return ok }
 	for _, b := range f.Blocks {
 		switch b.Term.Kind {
 		case code.TermJump:
-			if !labels[b.Term.Then] {
+			if !known(b.Term.Then) {
 				return errf(ReasonDanglingLabel, f.Name, b.Label, "jump to unknown label %q", b.Term.Then)
 			}
 		case code.TermCond:
 			if b.Term.Cond == "" {
 				return errf(ReasonBadTerminator, f.Name, b.Label, "conditional branch with empty condition")
 			}
-			if !labels[b.Term.Then] {
+			if !known(b.Term.Then) {
 				return errf(ReasonDanglingLabel, f.Name, b.Label, "branch to unknown label %q", b.Term.Then)
 			}
-			if !labels[b.Term.Else] {
+			if !known(b.Term.Else) {
 				return errf(ReasonDanglingLabel, f.Name, b.Label, "branch to unknown label %q", b.Term.Else)
 			}
 		case code.TermRet:
@@ -189,9 +192,9 @@ func checkFunc(f *code.Function) error {
 			return errf(ReasonBadTerminator, f.Name, b.Label, "invalid terminator kind %d", b.Term.Kind)
 		}
 	}
-	reach := FuncCFG(f).Reachable()
-	for _, b := range f.Blocks {
-		if !reach[b.Label] && !b.Kind.Outlinable() {
+	reach := reachable(f, labels)
+	for i, b := range f.Blocks {
+		if !reach[i] && !b.Kind.Outlinable() {
 			return errf(ReasonUnreachable, f.Name, b.Label, "mainline block has no path from entry %q", f.Blocks[0].Label)
 		}
 	}
@@ -202,17 +205,32 @@ func checkFunc(f *code.Function) error {
 // acyclic (the engine's call stack is depth-bounded, so recursion is a
 // model bug, not a feature).
 func checkCallGraph(p *code.Program) error {
-	for _, f := range p.Funcs() {
+	funcs := p.Funcs()
+	order := make([]code.Sym, len(funcs))
+	callees := make(map[code.Sym][]code.Sym, len(funcs))
+	for i, f := range funcs {
+		s := code.Intern(f.Name)
+		order[i] = s
+		var out []code.Sym
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if in.Call != "" && p.Func(in.Call) == nil {
+				if in.Call == code.NoSym || slices.Contains(out, in.Call) {
+					continue
+				}
+				if p.FuncSym(in.Call) == nil {
 					return errf(ReasonUnresolvedCall, f.Name, b.Label, "call to unknown function %q", in.Call)
 				}
+				out = append(out, in.Call)
 			}
 		}
+		callees[s] = out
 	}
-	if cyc := ProgramCallGraph(p).Cycle(); cyc != nil {
-		return errf(ReasonRecursion, cyc[0], "", "call cycle %v", cyc)
+	if cyc := findCycle(order, func(s code.Sym) []code.Sym { return callees[s] }); cyc != nil {
+		names := make([]string, len(cyc))
+		for i, s := range cyc {
+			names[i] = s.String()
+		}
+		return errf(ReasonRecursion, names[0], "", "call cycle %v", names)
 	}
 	return nil
 }
@@ -233,21 +251,23 @@ func checkPlacement(p *code.Program, m arch.Machine) error {
 		if pl == nil {
 			return errf(ReasonUnplacedFunc, f.Name, "", "function has no placement")
 		}
-		placed := map[string]bool{}
+		index := labelIndex(f)
+		placed := make([]bool, len(f.Blocks))
 		for _, seg := range pl.Segments {
 			if seg.Addr%ib != 0 {
 				return errf(ReasonMisaligned, f.Name, "", "segment at %#x not %d-byte aligned", seg.Addr, ib)
 			}
 			addr := seg.Addr
 			for i, l := range seg.Labels {
-				b := f.Block(l)
-				if b == nil {
+				bi, ok := index[l]
+				if !ok {
 					return errf(ReasonStalePlacement, f.Name, l, "placement names a block the function no longer has")
 				}
-				if placed[l] {
+				if placed[bi] {
 					return errf(ReasonStalePlacement, f.Name, l, "block placed twice")
 				}
-				placed[l] = true
+				placed[bi] = true
+				b := f.Blocks[bi]
 				got, size, err := pl.BlockSpan(l)
 				if err != nil {
 					return errf(ReasonUnplacedBlock, f.Name, l, "segment lists the block but the placement lost it")
@@ -274,22 +294,16 @@ func checkPlacement(p *code.Program, m arch.Machine) error {
 				addr += uint64(want) * ib
 			}
 		}
-		for _, b := range f.Blocks {
-			if !placed[b.Label] {
+		for i, b := range f.Blocks {
+			if !placed[i] {
 				return errf(ReasonUnplacedBlock, f.Name, b.Label, "block missing from every segment")
 			}
 		}
 	}
 	// Ties sort by function then block for deterministic error messages on
 	// exact-duplicate placements.
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].lo != spans[j].lo {
-			return spans[i].lo < spans[j].lo
-		}
-		if spans[i].fn != spans[j].fn {
-			return spans[i].fn < spans[j].fn
-		}
-		return spans[i].bl < spans[j].bl
+	slices.SortFunc(spans, func(a, b span) int {
+		return cmp.Or(cmp.Compare(a.lo, b.lo), strings.Compare(a.fn, b.fn), strings.Compare(a.bl, b.bl))
 	})
 	for i := 1; i < len(spans); i++ {
 		if spans[i].lo < spans[i-1].hi {

@@ -186,8 +186,8 @@ func retargetCall(t *testing.T, f *code.Function, to string) {
 	t.Helper()
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Call != "" {
-				b.Instrs[i].Call = to
+			if b.Instrs[i].Call != code.NoSym {
+				b.Instrs[i].Call = code.Intern(to)
 				if !b.Instrs[i].CallLoad {
 					return
 				}
@@ -222,7 +222,7 @@ func TestReachableDiamond(t *testing.T) {
 	b.Block("join").ALU(1).Ret()
 	b.Block("dead").Kind(code.BlockError).ALU(1).Ret()
 	f := b.MustBuild()
-	reach := verify.FuncCFG(f).Reachable()
+	reach := verify.Reachable(f)
 	for _, l := range []string{f.Blocks[0].Label, "l", "r", "join"} {
 		if !reach[l] {
 			t.Fatalf("label %q not reachable", l)

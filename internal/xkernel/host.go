@@ -72,12 +72,12 @@ func (h *Host) BeginEvent(frame []byte) {
 	}
 	h.CurrentFrame = frame
 	if h.Env == nil {
-		h.Env = code.NewBinding(nil)
+		h.Env = code.NewBinding()
 	} else {
 		h.Env.Reset()
 	}
 	if h.CurrentStack != 0 {
-		h.Env.Bind("$stack", h.CurrentStack)
+		h.Env.Bind(code.StackSym, h.CurrentStack)
 	}
 	for _, hook := range h.EnvHooks {
 		hook(h.Env)
@@ -111,7 +111,7 @@ func (h *Host) RunModel(name string) {
 	}
 	env := h.Env
 	if env == nil {
-		env = code.NewBinding(nil)
+		env = code.NewBinding()
 	}
 	h.Engine.MustRun(name, env)
 }
@@ -120,6 +120,6 @@ func (h *Host) RunModel(name string) {
 func (h *Host) SetStack(addr uint64) {
 	h.CurrentStack = addr
 	if h.Env != nil {
-		h.Env.Bind("$stack", addr)
+		h.Env.Bind(code.StackSym, addr)
 	}
 }
